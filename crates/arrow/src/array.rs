@@ -697,9 +697,71 @@ impl DictUtf8Array {
     }
 
     /// Concatenates several dict arrays, merging their dictionaries by
-    /// first appearance and remapping keys.
+    /// first appearance and remapping keys. The result is exactly
+    /// [`DictUtf8Array::from_options`] over the concatenated values (only
+    /// entries some row uses survive, in the order rows first use them),
+    /// but each part's entries are hashed once, not once per row. With a
+    /// single part this re-keys it into that canonical dictionary.
     pub fn concat(parts: &[&DictUtf8Array]) -> DictUtf8Array {
-        DictUtf8Array::from_options(parts.iter().flat_map(|p| p.iter()))
+        if let [one] = parts {
+            if one.is_canonical() {
+                return (*one).clone();
+            }
+        }
+        const UNSEEN: u32 = u32::MAX;
+        let len: usize = parts.iter().map(|p| p.len).sum();
+        let mut index: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
+        let mut entries: Vec<&str> = Vec::new();
+        let mut keys: Vec<u32> = Vec::with_capacity(len);
+        let mut valid: Vec<bool> = Vec::with_capacity(len);
+        let mut any_null = false;
+        for p in parts {
+            let mut remap = vec![UNSEEN; p.dict.len()];
+            for i in 0..p.len {
+                if p.validity.as_ref().is_some_and(|v| !v.get(i)) {
+                    keys.push(0);
+                    valid.push(false);
+                    any_null = true;
+                    continue;
+                }
+                let k = p.key_at(i) as usize;
+                if remap[k] == UNSEEN {
+                    let s = p.dict.get(k).expect("dictionary entries are never null");
+                    remap[k] = *index.entry(s).or_insert_with(|| {
+                        entries.push(s);
+                        u32::try_from(entries.len() - 1).expect("dictionary exceeds u32 keys")
+                    });
+                }
+                keys.push(remap[k]);
+                valid.push(true);
+            }
+        }
+        DictUtf8Array {
+            keys: keys.into(),
+            dict: Utf8Array::new(&entries),
+            validity: any_null.then(|| Bitmap::from_bools(&valid)),
+            len,
+        }
+    }
+
+    /// True if re-encoding the values would reproduce this array: every
+    /// dictionary entry is used, valid rows first use them in entry
+    /// order, and null slots hold key `0`. One read-only pass.
+    fn is_canonical(&self) -> bool {
+        let mut next = 0u32;
+        for i in 0..self.len {
+            let k = self.keys.get_u32(i);
+            if self.validity.as_ref().is_some_and(|v| !v.get(i)) {
+                if k != 0 {
+                    return false;
+                }
+            } else if k == next {
+                next += 1;
+            } else if k > next {
+                return false;
+            }
+        }
+        next as usize == self.dict.len()
     }
 
     /// The raw keys buffer (`len` little-endian u32 values).
@@ -1235,6 +1297,22 @@ mod tests {
         assert_eq!(d.len(), 3);
         assert_eq!(d.get(1), None);
         assert_eq!(Array::DictUtf8(d).null_count(), 3);
+    }
+
+    #[test]
+    fn dict_concat_matches_reencoding_the_values() {
+        let a = DictUtf8Array::from_options(vec![Some("x"), None, Some("y"), Some("x")]);
+        let b = DictUtf8Array::from_options(vec![Some("z"), Some("y"), None, Some("w")]);
+        // A gathered slice keeps its parent's dictionary, unused entries
+        // and all; the concatenation drops them and re-keys by first use.
+        let a = a.take_rows(&[2, 1, 2]);
+        for parts in [vec![&a], vec![&a, &b], vec![&b, &a]] {
+            let fast = DictUtf8Array::concat(&parts);
+            let slow = DictUtf8Array::from_options(parts.iter().flat_map(|p| p.iter()));
+            assert_eq!(fast.keys().as_slice(), slow.keys().as_slice());
+            assert_eq!(fast.dictionary(), slow.dictionary());
+            assert_eq!(fast.validity(), slow.validity());
+        }
     }
 
     #[test]

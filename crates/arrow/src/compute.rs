@@ -7,9 +7,9 @@
 //!
 //! Kernels are *vectorized*: each matches on the array variant once and
 //! then runs a tight loop over raw values with bitmap validity, instead
-//! of round-tripping every row through the boxed [`Value`] enum. Row
-//! selections travel as `&[usize]` selection vectors ([`mask_to_indices`]
-//! / [`take_indices`]) so operator chains can late-materialize.
+//! of round-tripping every row through the boxed [`Value`] enum. Filters
+//! turn a mask into a `&[usize]` selection vector ([`mask_to_indices`])
+//! and gather the passing rows once ([`take_indices`]).
 
 use crate::array::{Array, Value};
 use crate::batch::RecordBatch;
@@ -537,9 +537,8 @@ pub fn hash_key_column(col: &Array, coerce_int_to_f64: bool) -> Vec<u64> {
 }
 
 /// Hash of one row of a single key column, bit-identical to
-/// `hash_key_column(col, coerce_int_to_f64)[row]`. Selective probes
-/// (selection-vector pushdown) use this to hash only the rows they
-/// actually touch instead of the whole column.
+/// `hash_key_column(col, coerce_int_to_f64)[row]`: the per-row form of
+/// the shuffle and join hash.
 pub fn hash_key_at(col: &Array, coerce_int_to_f64: bool, row: usize) -> u64 {
     match col {
         Array::Int64(a) => match a.get(row) {
@@ -1010,6 +1009,34 @@ impl SortKeys {
         SortKeys { repr }
     }
 
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match &self.repr {
+            KeyRepr::I64(k) => k.len(),
+            KeyRepr::F64(k) => k.len(),
+            KeyRepr::Bool(k) => k.len(),
+            KeyRepr::Utf8(a) => a.len(),
+            KeyRepr::Rank(k) => k.len(),
+        }
+    }
+
+    /// True if there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// True if the rows are already ordered under `order`, so a stable
+    /// sort would return them unchanged. One pass over adjacent pairs.
+    pub fn is_sorted(&self, order: SortOrder) -> bool {
+        (1..self.len() as u32).all(|i| {
+            let ord = self.cmp_rows(i - 1, i);
+            match order {
+                SortOrder::Ascending => ord != std::cmp::Ordering::Greater,
+                SortOrder::Descending => ord != std::cmp::Ordering::Less,
+            }
+        })
+    }
+
     /// Ascending-semantics comparison of two rows' keys (NULLs first).
     #[inline]
     fn cmp_rows(&self, x: u32, y: u32) -> std::cmp::Ordering {
@@ -1180,6 +1207,30 @@ mod kernel_extension_tests {
         let desc = sort_to_indices(&col, SortOrder::Descending);
         assert_eq!(desc.value_at(0), Value::I64(0));
         assert_eq!(desc.value_at(3), Value::I64(1)); // null last
+    }
+
+    #[test]
+    fn is_sorted_agrees_with_the_sort() {
+        let cols = [
+            Array::from_opt_f64(vec![None, Some(-1.0), Some(2.0), Some(f64::NAN)]),
+            Array::from_opt_i64(vec![None, Some(1), Some(1), Some(4)]),
+            Array::from_opt_utf8(vec![None, Some("apple"), Some("fig"), Some("pear")]),
+            Array::from_opt_dict_utf8(vec![None, Some("b"), Some("b"), Some("c")]),
+            Array::from_f64(vec![2.0, 1.0, 3.0]),
+            Array::from_utf8(&["pear", "apple", "fig"]),
+            Array::from_i64(vec![]),
+        ];
+        for col in &cols {
+            for order in [SortOrder::Ascending, SortOrder::Descending] {
+                let idx = sort_to_indices(col, order);
+                let identity = (0..col.len()).all(|i| idx.value_at(i) == Value::I64(i as i64));
+                assert_eq!(
+                    SortKeys::new(col).is_sorted(order),
+                    identity,
+                    "{col:?} {order:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -381,10 +381,10 @@ pub fn vectorized_filter(batch: &RecordBatch, conjuncts: &[(&str, CmpOp, Value)]
     compute::filter(batch, &mask.expect("at least one conjunct")).expect("filter")
 }
 
-/// Filter-then-join with the intermediate batch materialized: the mask
-/// is gathered into a new batch, which the join then probes. This is the
-/// pre-pushdown shape of the filter→join boundary.
-pub fn materialized_filter_join(
+/// Filter, then join: the filtered batch is gathered once and the hash
+/// join probes it — the path SQL queries run at the filter→join
+/// boundary.
+pub fn vectorized_filter_join(
     left: &RecordBatch,
     right: &RecordBatch,
     conjuncts: &[(&str, CmpOp, Value)],
@@ -393,33 +393,6 @@ pub fn materialized_filter_join(
 ) -> RecordBatch {
     let filtered = vectorized_filter(left, conjuncts);
     exec::hash_join(&filtered, right, left_key, right_key).expect("hash_join")
-}
-
-/// Selection-vector pushdown across the filter→join boundary: the filter
-/// produces only passing row indices, the join probes them directly, and
-/// the filtered columns are gathered exactly once — as join output.
-pub fn pushdown_filter_join(
-    left: &RecordBatch,
-    right: &RecordBatch,
-    conjuncts: &[(&str, CmpOp, Value)],
-    left_key: &str,
-    right_key: &str,
-) -> RecordBatch {
-    let mut mask: Option<Array> = None;
-    for (col, op, rhs) in conjuncts {
-        let c = left.column_by_name(col).expect("filter column");
-        let m = compute::cmp_scalar(c, *op, rhs).expect("cmp_scalar");
-        mask = Some(match mask {
-            Some(prev) => compute::and(&prev, &m).expect("and"),
-            None => m,
-        });
-    }
-    let b = mask.expect("at least one conjunct");
-    let b = b.as_bool().expect("mask");
-    let sel: Vec<usize> = (0..left.num_rows())
-        .filter(|&i| b.get(i) == Some(true))
-        .collect();
-    exec::hash_join_sel(left, &sel, right, left_key, right_key).expect("hash_join_sel")
 }
 
 /// Vectorized sort via the typed `sort_to_indices` kernel.
@@ -491,9 +464,12 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
         ];
         // High-pass-rate variant of the filter→join boundary: ~90% of
         // rows survive (`value > 5` over uniform 0..100 with ~5% nulls),
-        // so the materialized plan pays a near-full-batch intermediate
-        // gather that pushdown skips. See the `filter_join` comment below.
+        // so the filtered intermediate is nearly a full batch copy.
         let conjuncts_hi: Vec<(&str, CmpOp, Value)> = vec![("value", CmpOp::Gt, Value::F64(5.0))];
+        let filter_joins = [
+            ("filter_join", &conjuncts),
+            ("filter_join_hi", &conjuncts_hi),
+        ];
         let q = group_query("user_id", "value", "events");
 
         // Dict-keyed datasets: the fact side's string key dictionary-
@@ -523,16 +499,13 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
             exec::hash_join(&events, &users, "user_id", "user_id").expect("hash_join"),
             "join mismatch at {n} rows"
         );
-        assert_eq!(
-            materialized_filter_join(&events, &users, &conjuncts, "user_id", "user_id"),
-            pushdown_filter_join(&events, &users, &conjuncts, "user_id", "user_id"),
-            "filter_join pushdown mismatch at {n} rows"
-        );
-        assert_eq!(
-            materialized_filter_join(&events, &users, &conjuncts_hi, "user_id", "user_id"),
-            pushdown_filter_join(&events, &users, &conjuncts_hi, "user_id", "user_id"),
-            "filter_join_hi pushdown mismatch at {n} rows"
-        );
+        for (name, cs) in filter_joins {
+            assert_eq!(
+                baseline_join(&baseline_filter(&events, cs), &users, "user_id", "user_id"),
+                vectorized_filter_join(&events, &users, cs, "user_id", "user_id"),
+                "{name} mismatch at {n} rows"
+            );
+        }
         assert_eq!(
             baseline_group_sum_count(&events, "user_id", "value"),
             exec::aggregate(&q, &events).expect("aggregate"),
@@ -545,7 +518,7 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
                 "code",
                 "code"
             ),
-            pushdown_filter_join(&coded_dict, &codes_dict, &conjuncts_val, "code", "code")
+            vectorized_filter_join(&coded_dict, &codes_dict, &conjuncts_val, "code", "code")
                 .dict_decoded(),
             "filter_join_dict mismatch at {n} rows"
         );
@@ -595,53 +568,28 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
                 );
             }),
         );
-        // Why `filter_join` plateaus at ~1.0x (BENCH_exec.json records
-        // 1.00x/1.04x at 10k/100k): the engine's filter-selectivity
-        // profile (see `filter_selectivity_explains_filter_join_plateau`)
-        // measures the combined pass rate of `kind='click' AND value>50`
-        // at ~0.12. Both plans pay identical mask compute (a Utf8
-        // equality scan plus a float compare over the full batch), so
-        // pushdown only avoids materializing the ~12% of rows that pass
-        // — a gather too small to matter next to the shared mask cost
-        // and the join's own build/probe. The win appears when the
-        // filter keeps most rows: `filter_join_hi` (~0.90 pass rate,
-        // same profile) makes the skipped intermediate gather nearly a
-        // full batch copy, and measures ~1.1–1.2x — still bounded above
-        // by the join dominating both plans.
-        push(
-            "filter_join",
-            time_ns(budget, || {
-                std::hint::black_box(materialized_filter_join(
-                    &events, &users, &conjuncts, "user_id", "user_id",
-                ));
-            }),
-            time_ns(budget, || {
-                std::hint::black_box(pushdown_filter_join(
-                    &events, &users, &conjuncts, "user_id", "user_id",
-                ));
-            }),
-        );
-        push(
-            "filter_join_hi",
-            time_ns(budget, || {
-                std::hint::black_box(materialized_filter_join(
-                    &events,
-                    &users,
-                    &conjuncts_hi,
-                    "user_id",
-                    "user_id",
-                ));
-            }),
-            time_ns(budget, || {
-                std::hint::black_box(pushdown_filter_join(
-                    &events,
-                    &users,
-                    &conjuncts_hi,
-                    "user_id",
-                    "user_id",
-                ));
-            }),
-        );
+        // The filter→join boundary against the row-at-a-time reference
+        // (`baseline_filter`, then `baseline_join`), at the combined pass
+        // rate of `kind='click' AND value>50` (~0.12, measured by
+        // `filter_pass_rates_match_the_filter_join_cases`) and at ~0.90.
+        for (name, cs) in filter_joins {
+            push(
+                name,
+                time_ns(budget, || {
+                    std::hint::black_box(baseline_join(
+                        &baseline_filter(&events, cs),
+                        &users,
+                        "user_id",
+                        "user_id",
+                    ));
+                }),
+                time_ns(budget, || {
+                    std::hint::black_box(vectorized_filter_join(
+                        &events, &users, cs, "user_id", "user_id",
+                    ));
+                }),
+            );
+        }
         // The dict-keyed join: the stringly baseline renders every probe
         // key into a `String` and walks a `BTreeMap`; the dict path
         // probes a hash table with precomputed per-entry hashes over u32
@@ -658,8 +606,14 @@ pub fn run_suite(sizes: &[usize], budget: Duration) -> Vec<BenchEntry> {
             }),
             time_ns(budget, || {
                 std::hint::black_box(
-                    pushdown_filter_join(&coded_dict, &codes_dict, &conjuncts_val, "code", "code")
-                        .dict_decoded(),
+                    vectorized_filter_join(
+                        &coded_dict,
+                        &codes_dict,
+                        &conjuncts_val,
+                        "code",
+                        "code",
+                    )
+                    .dict_decoded(),
                 );
             }),
         );
@@ -1291,11 +1245,10 @@ mod tests {
         assert_eq!(parse_results(&text), entries);
     }
 
-    /// The investigation behind the `filter_join` comment in
-    /// [`run_suite`]: measure the benchmark's filter pass rates with the
-    /// engine's own selectivity profile instead of guessing.
+    /// The pass rates the `filter_join` cases in [`run_suite`] claim,
+    /// measured with the engine's own selectivity profile.
     #[test]
-    fn filter_selectivity_explains_filter_join_plateau() {
+    fn filter_pass_rates_match_the_filter_join_cases() {
         use skadi_frontends::exec::MemDb;
         let db = MemDb::new().register("events", events_batch(10_000, 42));
         // Combined selectivity across every filter op in the profile
@@ -1313,7 +1266,7 @@ mod tests {
         println!("filter_join selectivity: low={low:.4} hi={hi:.4}");
         assert!(
             (0.08..=0.16).contains(&low),
-            "low-pass selectivity {low} — the plateau explanation assumes ~12%"
+            "low-pass selectivity {low} — filter_join assumes ~12%"
         );
         assert!(
             hi > 0.85,

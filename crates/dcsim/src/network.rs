@@ -229,11 +229,6 @@ impl Network {
         &self.stats
     }
 
-    /// Resets traffic statistics (NIC availability is kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
-    }
-
     /// Classifies the path between two nodes.
     pub fn hop_class(&self, src: NodeId, dst: NodeId) -> HopClass {
         if src == dst {

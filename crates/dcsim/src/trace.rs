@@ -345,11 +345,6 @@ impl Metrics {
         self.histograms.keys().map(String::as_str).collect()
     }
 
-    /// All gauge names, sorted.
-    pub fn gauge_names(&self) -> Vec<&str> {
-        self.gauges.keys().map(String::as_str).collect()
-    }
-
     /// Merges another sink into this one (counters add, samples append,
     /// gauge buckets combine).
     pub fn merge(&mut self, other: &Metrics) {

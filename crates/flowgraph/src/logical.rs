@@ -144,18 +144,6 @@ impl FlowGraph {
         )
     }
 
-    /// Adds a fused IR vertex with an explicit body.
-    pub fn add_fused_op(&mut self, body: Vec<String>, rows: u64, out_bytes: u64) -> VertexId {
-        self.add_vertex(
-            VertexBody::IrOp {
-                name: "kernel.fused".to_string(),
-                body,
-            },
-            rows,
-            out_bytes,
-        )
-    }
-
     /// Adds a handcrafted operator vertex.
     pub fn add_handcrafted(
         &mut self,

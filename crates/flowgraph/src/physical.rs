@@ -173,11 +173,6 @@ impl PhysicalGraph {
         self.edges.iter().filter(|e| e.to == v).collect()
     }
 
-    /// Outgoing edges of a shard.
-    pub fn out_edges(&self, v: PVertexId) -> Vec<&PhysicalEdge> {
-        self.edges.iter().filter(|e| e.from == v).collect()
-    }
-
     /// Topological order over physical vertices.
     pub fn topo_order(&self) -> Result<Vec<PVertexId>, GraphError> {
         let n = self.vertices.len();

@@ -12,8 +12,10 @@
 //! byte-identical across same-seed runs. `render(true)` adds measured
 //! wall times and a time-skew check for interactive use.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+
+use crate::physical::PhysicalGraph;
 
 /// Measurements from one shard of one operator.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -164,28 +166,51 @@ fn json_escape(s: &str) -> String {
 }
 
 impl QueryProfile {
-    /// Builds a profile for a single-shard linear pipeline (the local
-    /// engine): each entry is `(op name, stats)` in execution order and
-    /// feeds the next.
-    pub fn from_chain(query: &str, skew_multiple: f64, chain: Vec<(String, ShardStats)>) -> Self {
-        let ops = chain
-            .into_iter()
-            .enumerate()
-            .map(|(i, (op, stats))| OpProfile {
-                op_id: i as u32,
-                op: op.clone(),
-                body: vec![op],
-                inputs: if i == 0 {
-                    Vec::new()
-                } else {
-                    vec![(i as u32 - 1, 0)]
-                },
-                shards: vec![stats],
-            })
-            .collect();
+    /// Assembles the per-operator profile of one execution of `graph`.
+    /// `shards` holds the measurements of each executed physical vertex,
+    /// keyed by vertex id; a vertex with no entry reports zeros. Shard
+    /// indices come from the graph, and each operator's inputs come from
+    /// the graph's edges, deduplicated to `(producer op_id, port)`. The
+    /// local engine (one shard per operator) and the distributed data
+    /// plane both build their profiles here.
+    pub fn from_graph(
+        graph: &PhysicalGraph,
+        query: &str,
+        parallelism: u32,
+        skew_multiple: f64,
+        shards: &BTreeMap<u32, ShardStats>,
+    ) -> Self {
+        let mut ops: BTreeMap<u32, OpProfile> = BTreeMap::new();
+        for v in graph.vertices() {
+            let op = ops.entry(v.op_id).or_insert_with(|| OpProfile {
+                op_id: v.op_id,
+                op: v.op.clone(),
+                body: v.body.clone(),
+                inputs: Vec::new(),
+                shards: Vec::new(),
+            });
+            op.shards.push(ShardStats {
+                shard: v.shard,
+                ..shards.get(&v.id.0).cloned().unwrap_or_default()
+            });
+        }
+        for e in graph.edges() {
+            let from_op = graph.vertex(e.from).op_id;
+            let to_op = graph.vertex(e.to).op_id;
+            if let Some(op) = ops.get_mut(&to_op) {
+                if !op.inputs.contains(&(from_op, e.port)) {
+                    op.inputs.push((from_op, e.port));
+                }
+            }
+        }
+        let mut ops: Vec<OpProfile> = ops.into_values().collect();
+        for op in &mut ops {
+            op.shards.sort_by_key(|s| s.shard);
+            op.inputs.sort_by_key(|&(id, port)| (port, id));
+        }
         QueryProfile {
             query: query.to_string(),
-            parallelism: 1,
+            parallelism,
             skew_multiple,
             ops,
         }
@@ -449,19 +474,29 @@ mod tests {
     }
 
     #[test]
-    fn from_chain_links_linear_pipeline() {
-        let p = QueryProfile::from_chain(
-            "SELECT x",
-            2.0,
-            vec![
-                ("rel.scan".into(), shard(0, 0, 10, 0)),
-                ("rel.filter".into(), shard(0, 10, 4, 0)),
-            ],
-        );
+    fn from_graph_groups_shards_and_links_inputs() {
+        use crate::logical::FlowGraph;
+        use crate::lower::{lower_graph, LowerConfig};
+        use skadi_ir::BackendPolicy;
+
+        let mut g = FlowGraph::new();
+        let scan = g.add_source("t", 100, 800);
+        let filter = g.add_ir_op("rel.filter", 40, 320);
+        g.connect(scan, filter).unwrap();
+        let phys = lower_graph(&g, &LowerConfig::new(2, BackendPolicy::cost_based())).unwrap();
+        let measured: BTreeMap<u32, ShardStats> = phys
+            .vertices()
+            .iter()
+            .map(|v| (v.id.0, shard(7, 10, 4 + v.id.0 as u64, 0)))
+            .collect();
+        let p = QueryProfile::from_graph(&phys, "SELECT x", 2, 2.0, &measured);
         assert_eq!(p.ops.len(), 2);
         assert_eq!(p.ops[1].inputs, vec![(0, 0)]);
+        // Shard indices come from the graph, not the measurements.
+        let idx: Vec<u32> = p.ops[1].shards.iter().map(|s| s.shard).collect();
+        assert_eq!(idx, vec![0, 1]);
         let tree = p.render(false);
         assert!(tree.contains("#1 rel.filter"));
-        assert!(tree.contains("\n  #0 rel.scan"));
+        assert!(tree.contains("\n  #0 t"));
     }
 }

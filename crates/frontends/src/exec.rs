@@ -1,39 +1,39 @@
-//! Local SQL execution engine.
+//! Local SQL execution: the in-memory database and the vectorized
+//! kernels every SQL path runs on.
 //!
-//! Executes parsed queries against real in-memory [`RecordBatch`]es using
-//! the `skadi-arrow` kernels. The distributed runtime *prices* execution
-//! on the simulated cluster; this engine *computes actual answers*, which
-//! (a) validates the planner's semantics and (b) powers the examples that
-//! want to show real results.
+//! [`MemDb`] computes real answers over in-memory [`RecordBatch`]es. A
+//! query is planned, optimized and lowered exactly like a distributed
+//! one, at parallelism 1, and then runs in-process through the shard
+//! interpreter ([`shard::run_graph`]) — the same operator code the
+//! distributed data plane runs per task. Its per-operator profile comes
+//! from the same builder too ([`QueryProfile::from_graph`]).
 //!
 //! Supported: projection, WHERE conjunctions, equi-joins, GROUP BY with
 //! `sum`/`count`/`min`/`max`/`avg`, ORDER BY, LIMIT.
 //!
-//! The hot paths are vectorized: WHERE conjuncts fuse into a single
+//! The kernels are vectorized: WHERE conjuncts fuse into a single
 //! boolean mask ([`compute::and`]) applied once; joins and group-bys key
 //! on FNV-1a hashes of the raw column bytes with a typed equality check
 //! on collision — no per-row `String` rendering anywhere on the join or
-//! group-by key path. Each relational operator also records a
-//! wall-clock [`Category::Exec`] span (named after the planner's
-//! [`ops`] vertices) so a traced query correlates real compute with the
-//! simulated plan.
+//! group-by key path.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
 
 use skadi_arrow::array::{Array, Value};
 use skadi_arrow::batch::RecordBatch;
 use skadi_arrow::compute::{self, CmpOp};
 use skadi_arrow::datatype::DataType;
 use skadi_arrow::schema::{Field, Schema};
-use skadi_dcsim::span::{Category, SpanId, Trace, Tracer};
-use skadi_dcsim::time::SimTime;
-use skadi_flowgraph::profile::{QueryProfile, ShardStats};
+use skadi_flowgraph::lower::{lower_graph, LowerConfig};
+use skadi_flowgraph::optimize::optimize_graph;
+use skadi_flowgraph::profile::QueryProfile;
+use skadi_ir::BackendPolicy;
 
 use crate::catalog::{Catalog, TableDef};
+use crate::shard;
 use crate::sql::ast::{Comparison, Expr, Literal, Query};
-use crate::sql::planner::ops;
-use crate::sql::{parse, tokenize, SqlError};
+use crate::sql::SqlError;
 use skadi_ir::types::ScalarType;
 
 pub mod parallel;
@@ -41,10 +41,18 @@ pub mod pool;
 
 use pool::PARALLEL_MIN_ROWS;
 
+/// Skew threshold of local query profiles (single-shard operators never
+/// trip it; the field keeps the rendering uniform with distributed runs).
+const LOCAL_SKEW_MULTIPLE: f64 = 2.0;
+
 /// An in-memory database: named tables of record batches.
 #[derive(Debug, Clone, Default)]
 pub struct MemDb {
+    /// The tables as registered; the catalog and [`MemDb::table`] read
+    /// these.
     tables: BTreeMap<String, RecordBatch>,
+    /// The same tables, scan-ready: built on first use, shared by clones.
+    scan: Arc<OnceLock<BTreeMap<String, RecordBatch>>>,
 }
 
 impl MemDb {
@@ -56,52 +64,43 @@ impl MemDb {
     /// Registers a table.
     pub fn register(mut self, name: &str, batch: RecordBatch) -> Self {
         self.tables.insert(name.to_string(), batch);
+        self.scan = Arc::default();
         self
     }
 
-    /// Looks up a table.
+    /// Looks up a table as registered.
     pub fn table(&self, name: &str) -> Result<&RecordBatch, SqlError> {
         self.tables
             .get(name)
             .ok_or_else(|| SqlError::Plan(format!("unknown table {name:?}")))
     }
 
-    /// All registered tables, by name.
+    /// All registered tables, by name, scan-ready: eligible `Utf8`
+    /// columns are dictionary-encoded once per database, on first use,
+    /// and clones of the database share the result. Every shard of every
+    /// query — local or distributed — scans these. Results decode at the
+    /// output boundary, so answers equal those over the plain tables.
     pub fn tables(&self) -> &BTreeMap<String, RecordBatch> {
-        &self.tables
+        self.scan.get_or_init(|| {
+            self.tables
+                .iter()
+                .map(|(name, batch)| (name.clone(), batch.dict_encoded()))
+                .collect()
+        })
     }
 
     /// Parses and executes a query, returning the result batch.
     pub fn query(&self, sql: &str) -> Result<RecordBatch, SqlError> {
-        let q = parse(&tokenize(sql)?)?;
-        execute(&q, self)
+        self.run(sql).map(|(batch, _)| batch)
     }
 
-    /// Like [`MemDb::query`], but also returns a [`Trace`] with one
-    /// wall-clock span per relational operator (scan/filter/join/
-    /// aggregate/project/sort/limit). Span times are real elapsed
-    /// nanoseconds mapped onto the virtual timeline, so callers can set
-    /// measured compute beside simulated pricing.
-    pub fn query_traced(&self, sql: &str) -> Result<(RecordBatch, Trace), SqlError> {
-        let q = parse(&tokenize(sql)?)?;
-        let mut tracer = Tracer::new(true);
-        let out = execute_traced(&q, self, &mut tracer)?;
-        Ok((out, tracer.finish()))
-    }
-
-    /// Like [`MemDb::query`], but also returns a per-operator
-    /// [`QueryProfile`] (single-shard chain: scan → filter → join → … in
-    /// execution order). Accepts the query with or without an
-    /// `EXPLAIN ANALYZE` prefix. The profile's deterministic portion
-    /// (everything except wall time) is a pure function of the query and
-    /// the data.
+    /// Like [`MemDb::query`], but also returns the per-operator
+    /// [`QueryProfile`] of the parallelism-1 plan. Accepts the query with
+    /// or without an `EXPLAIN ANALYZE` prefix. The profile's
+    /// deterministic portion (everything except wall time) is a pure
+    /// function of the query and the data.
     pub fn query_profiled(&self, sql: &str) -> Result<(RecordBatch, QueryProfile), SqlError> {
-        let body = crate::sql::strip_explain_analyze(sql).unwrap_or(sql);
-        let q = parse(&tokenize(body)?)?;
-        let mut spans = ExecSpans::profiled();
-        let out = execute_inner(&q, self, &mut spans)?;
-        let chain = spans.profile.take().unwrap_or_default();
-        Ok((out, QueryProfile::from_chain(body, 2.0, chain)))
+        self.run(crate::sql::strip_explain_analyze(sql).unwrap_or(sql))
     }
 
     /// Executes `EXPLAIN ANALYZE <query>` (prefix optional) and renders
@@ -109,6 +108,24 @@ impl MemDb {
     pub fn explain_analyze(&self, sql: &str) -> Result<String, SqlError> {
         let (_, profile) = self.query_profiled(sql)?;
         Ok(profile.render(true))
+    }
+
+    /// Plans, optimizes and lowers `sql` at parallelism 1, runs the plan
+    /// in-process through the shard interpreter, and profiles the run
+    /// against the lowered graph.
+    fn run(&self, sql: &str) -> Result<(RecordBatch, QueryProfile), SqlError> {
+        let (mut graph, _sink) = crate::sql::plan_sql(sql, &self.catalog())?;
+        optimize_graph(&mut graph);
+        let phys = lower_graph(&graph, &LowerConfig::new(1, BackendPolicy::cost_based()))
+            .map_err(|e| SqlError::Plan(format!("lowering: {e}")))?;
+        let run = shard::run_graph(&graph, self.tables(), |_, _| {})?;
+        let shards = phys
+            .vertices()
+            .iter()
+            .filter_map(|v| Some((v.id.0, run.vertices.get(&v.logical)?.clone())))
+            .collect();
+        let profile = QueryProfile::from_graph(&phys, sql, 1, LOCAL_SKEW_MULTIPLE, &shards);
+        Ok((run.output, profile))
     }
 
     /// Derives a planner [`Catalog`] from the registered tables: schemas
@@ -199,95 +216,6 @@ impl KernelStats {
     }
 }
 
-/// Per-operator wall-clock span recorder. Disabled (`inner: None`) it
-/// costs one `Instant` read per operator and records nothing. With
-/// `profile` set it additionally accumulates a [`ShardStats`] chain for
-/// [`QueryProfile::from_chain`].
-struct ExecSpans<'a> {
-    inner: Option<(&'a mut Tracer, SpanId)>,
-    profile: Option<Vec<(String, ShardStats)>>,
-    clock: Instant,
-}
-
-impl ExecSpans<'_> {
-    fn disabled() -> ExecSpans<'static> {
-        ExecSpans {
-            inner: None,
-            profile: None,
-            clock: Instant::now(),
-        }
-    }
-
-    fn profiled() -> ExecSpans<'static> {
-        ExecSpans {
-            inner: None,
-            profile: Some(Vec::new()),
-            clock: Instant::now(),
-        }
-    }
-
-    /// Elapsed wall-clock since the query started, as a virtual time.
-    fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.clock.elapsed().as_nanos() as u64)
-    }
-
-    /// Records one completed operator span under the root query span,
-    /// with profile detail: measured output bytes, filter selectivity,
-    /// and hash-table counters.
-    #[allow(clippy::too_many_arguments)]
-    fn op_ext(
-        &mut self,
-        name: &str,
-        start: SimTime,
-        rows_in: usize,
-        rows_out: usize,
-        output_bytes: u64,
-        selectivity: Option<f64>,
-        kernel: KernelStats,
-    ) {
-        let end = SimTime::from_nanos(self.clock.elapsed().as_nanos() as u64);
-        if let Some((tracer, root)) = &mut self.inner {
-            tracer.span(
-                name,
-                "exec",
-                Category::Exec,
-                Some(*root),
-                start,
-                end,
-                &[
-                    ("rows_in", &rows_in.to_string()),
-                    ("rows_out", &rows_out.to_string()),
-                ],
-            );
-        }
-        if let Some(chain) = &mut self.profile {
-            chain.push((
-                name.to_string(),
-                ShardStats {
-                    shard: 0,
-                    rows_in: rows_in as u64,
-                    rows_out: rows_out as u64,
-                    output_bytes,
-                    wall_nanos: end.as_nanos().saturating_sub(start.as_nanos()),
-                    selectivity,
-                    hash_slots: kernel.hash_slots,
-                    hash_collisions: kernel.hash_collisions,
-                    groups: kernel.groups,
-                    rehashes: kernel.rehashes,
-                },
-            ));
-        }
-    }
-
-    fn close_root(&mut self, rows_out: usize) {
-        if let Some((tracer, root)) = &mut self.inner {
-            let end = SimTime::from_nanos(self.clock.elapsed().as_nanos() as u64);
-            tracer.attr(*root, "rows_out", &rows_out.to_string());
-            tracer.close(*root, end);
-        }
-    }
-}
-
 /// Applies a conjunction of comparisons as ONE filter: each conjunct
 /// becomes a boolean mask ([`compute::cmp_scalar`]), the masks fuse with
 /// [`compute::and`] (SQL three-valued logic), and the batch is gathered
@@ -327,20 +255,6 @@ fn conjunct_mask(
         });
     }
     Ok(mask)
-}
-
-/// Evaluates a conjunction to a selection vector — the indices of the
-/// passing rows — WITHOUT materializing the filtered batch. Joins probe
-/// through this directly (late materialization), so the filtered columns
-/// are gathered exactly once, as part of the join output.
-pub(crate) fn selection_indices(
-    batch: &RecordBatch,
-    conjuncts: &[&Comparison],
-) -> Result<Vec<usize>, SqlError> {
-    match conjunct_mask(batch, conjuncts)? {
-        Some(m) => compute::mask_to_indices(&m).map_err(wrap),
-        None => Ok((0..batch.num_rows()).collect()),
-    }
 }
 
 /// Typed key equality for join collision checks. Floats compare by bit
@@ -414,35 +328,18 @@ pub fn hash_join(
     right_key: &str,
 ) -> Result<RecordBatch, SqlError> {
     let mut stats = KernelStats::default();
-    let (left_rows, right_rows) = join_rows(left, right, left_key, right_key, None, &mut stats)?;
-    assemble_join(left, right, right_key, &left_rows, &right_rows)
-}
-
-/// [`hash_join`] probing only the left rows in `left_sel` (in selection
-/// order): the selection-vector pushdown path. Equivalent to filtering
-/// `left` down to `left_sel` first, without materializing that batch.
-pub fn hash_join_sel(
-    left: &RecordBatch,
-    left_sel: &[usize],
-    right: &RecordBatch,
-    left_key: &str,
-    right_key: &str,
-) -> Result<RecordBatch, SqlError> {
-    let mut stats = KernelStats::default();
-    let (left_rows, right_rows) =
-        join_rows(left, right, left_key, right_key, Some(left_sel), &mut stats)?;
+    let (left_rows, right_rows) = join_rows(left, right, left_key, right_key, &mut stats)?;
     assemble_join(left, right, right_key, &left_rows, &right_rows)
 }
 
 /// The join core: produces matching `(left_row, right_row)` index pairs
-/// in probe order, probing either every left row or just a selection.
-/// Build-table capacity and failed chain visits accumulate into `stats`.
+/// in probe order. Build-table capacity and failed chain visits
+/// accumulate into `stats`.
 pub(crate) fn join_rows(
     left: &RecordBatch,
     right: &RecordBatch,
     left_key: &str,
     right_key: &str,
-    left_sel: Option<&[usize]>,
     stats: &mut KernelStats,
 ) -> Result<(Vec<usize>, Vec<usize>), SqlError> {
     let lk = left.schema().index_of(left_key).map_err(wrap)?;
@@ -460,25 +357,16 @@ pub(crate) fn join_rows(
     // Large joins take the partitioned parallel path. The threshold is
     // data-dependent only, so which kernel runs — and every stat it
     // reports — is identical at every thread count.
-    let probe_rows = left_sel.map_or(left.num_rows(), |s| s.len());
-    if probe_rows.max(right.num_rows()) >= PARALLEL_MIN_ROWS {
-        return Ok(parallel::join_rows_partitioned(
-            lcol, rcol, mixed, left_sel, stats,
-        ));
+    if left.num_rows().max(right.num_rows()) >= PARALLEL_MIN_ROWS {
+        return Ok(parallel::join_rows_partitioned(lcol, rcol, mixed, stats));
     }
 
-    // Probe-side hashes: hashing the whole column amortizes best when
-    // probing every row, but a selection probe hashes only the rows it
-    // touches — `hash_key_at` is bit-identical per row.
-    let lh = match left_sel {
-        None => compute::hash_key_column(lcol, mixed),
-        Some(_) => Vec::new(),
-    };
+    let lh = compute::hash_key_column(lcol, mixed);
     let rh = compute::hash_key_column(rcol, mixed);
 
     // Build side: bucket -> chain of right rows. Inserting in reverse
-    // row order leaves every chain sorted ascending, preserving the
-    // match order of the old ordered-map engine.
+    // row order leaves every chain sorted ascending, so matches emit in
+    // (probe row, build row) order.
     let cap = (right.num_rows() * 2).next_power_of_two().max(16);
     stats.hash_slots += cap as u64;
     let mask = cap as u64 - 1;
@@ -498,9 +386,9 @@ pub(crate) fn join_rows(
     let mut right_rows: Vec<usize> = Vec::new();
     let mut collisions = 0u64;
     let l_validity = lcol.validity();
-    let mut probe = |l: usize, h: u64| {
+    for (l, &h) in lh.iter().enumerate() {
         if l_validity.is_some_and(|v| !v.get(l)) {
-            return;
+            continue;
         }
         let mut r = head[(fold_hash(h) & mask) as usize];
         while r != EMPTY_SLOT {
@@ -512,18 +400,6 @@ pub(crate) fn join_rows(
                 collisions += 1;
             }
             r = next[ri];
-        }
-    };
-    match left_sel {
-        Some(sel) => {
-            for &l in sel {
-                probe(l, compute::hash_key_at(lcol, mixed, l));
-            }
-        }
-        None => {
-            for (l, &h) in lh.iter().enumerate() {
-                probe(l, h);
-            }
         }
     }
     stats.hash_collisions += collisions;
@@ -747,15 +623,6 @@ fn accumulate(
 /// order replicates the old engine's `BTreeMap` order by rendering ONE
 /// key string per *group* (not per row) and sorting.
 pub fn aggregate(q: &Query, input: &RecordBatch) -> Result<RecordBatch, SqlError> {
-    aggregate_with_stats(q, input, &mut KernelStats::default())
-}
-
-/// [`aggregate`] with kernel counters accumulated into `stats`.
-pub(crate) fn aggregate_with_stats(
-    q: &Query,
-    input: &RecordBatch,
-    stats: &mut KernelStats,
-) -> Result<RecordBatch, SqlError> {
     let aggs: Vec<(String, String, String)> = q
         .select
         .iter()
@@ -770,7 +637,20 @@ pub(crate) fn aggregate_with_stats(
             Expr::Column(_) => None,
         })
         .collect();
-    aggregate_spec(&q.group_by, &aggs, input, stats)
+    Ok(aggregate_spec(&q.group_by, &aggs, input, &mut KernelStats::default())?.batch)
+}
+
+/// An aggregation's output, with per-output-row detail for shard
+/// bookkeeping.
+pub(crate) struct Aggregated {
+    /// Group columns, then one column per aggregate.
+    pub(crate) batch: RecordBatch,
+    /// The rendered group key each row is ordered by (`""` for a global
+    /// aggregate).
+    pub(crate) keys: Vec<String>,
+    /// The first input row of each row's group (row 0 for a global
+    /// aggregate, even over an empty input).
+    pub(crate) first_rows: Vec<usize>,
 }
 
 /// The aggregation core, independent of the SQL AST: `aggs` is
@@ -784,7 +664,7 @@ pub(crate) fn aggregate_spec(
     aggs: &[(String, String, String)],
     input: &RecordBatch,
     stats: &mut KernelStats,
-) -> Result<RecordBatch, SqlError> {
+) -> Result<Aggregated, SqlError> {
     let group_cols: Vec<usize> = group_by
         .iter()
         .map(|g| input.schema().index_of(g).map_err(wrap))
@@ -833,23 +713,21 @@ pub(crate) fn aggregate_spec(
     let ng = group_sizes.len();
     stats.groups += ng as u64;
 
-    // Output order: the old engine iterated a BTreeMap over the rendered
-    // group key; sorting one rendered string per group reproduces it in
-    // O(groups), not O(rows).
+    // Output order: groups sort by their rendered key, one string per
+    // group (not per row). A stable sort keeps first-appearance order
+    // among equal renderings.
+    let mut keys: Vec<String> = rep_rows
+        .iter()
+        .map(|&r| {
+            group_cols
+                .iter()
+                .map(|&c| input.column(c).value_at(r).to_string())
+                .collect::<Vec<_>>()
+                .join("\u{1}")
+        })
+        .collect();
     let mut order: Vec<u32> = (0..ng as u32).collect();
-    if !group_cols.is_empty() {
-        let keys: Vec<String> = rep_rows
-            .iter()
-            .map(|&r| {
-                group_cols
-                    .iter()
-                    .map(|&c| input.column(c).value_at(r).to_string())
-                    .collect::<Vec<_>>()
-                    .join("\u{1}")
-            })
-            .collect();
-        order.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
-    }
+    order.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
 
     // Output schema: group columns then one column per aggregate item.
     let mut fields: Vec<Field> = group_cols
@@ -872,10 +750,16 @@ pub(crate) fn aggregate_spec(
     for kind in &kinds {
         columns.push(accumulate(kind, input, &row_group, &group_sizes).take_rows(&perm));
     }
-    RecordBatch::try_new(Schema::new(fields), columns).map_err(wrap)
+    Ok(Aggregated {
+        batch: RecordBatch::try_new(Schema::new(fields), columns).map_err(wrap)?,
+        keys: perm.iter().map(|&g| std::mem::take(&mut keys[g])).collect(),
+        first_rows: ordered_reps,
+    })
 }
 
-/// Sorts by one column (via the shared sort kernel; NULLs sort lowest).
+/// Stably sorts by one column (via the shared sort keys; NULLs sort
+/// lowest). Rows already in order come back as they are: the check is
+/// one pass over the keys the sort extracts anyway.
 pub(crate) fn sort_by(
     batch: &RecordBatch,
     column: &str,
@@ -887,216 +771,22 @@ pub(crate) fn sort_by(
     } else {
         compute::SortOrder::Ascending
     };
+    let keys = compute::SortKeys::new(col);
+    if keys.is_sorted(order) {
+        return Ok(batch.clone());
+    }
     // Large sorts run morsel-parallel: the merge's total order makes the
     // permutation identical to the serial stable sort.
     if batch.num_rows() >= PARALLEL_MIN_ROWS {
-        let perm = parallel::sort_permutation(col, order);
+        let perm = parallel::sort_permutation(keys, order);
         return parallel::take_batch(batch, &perm).map_err(wrap);
     }
-    let indices = compute::sort_to_indices(col, order);
-    compute::take(batch, &indices).map_err(wrap)
-}
-
-/// Executes a parsed query against the database.
-pub fn execute(q: &Query, db: &MemDb) -> Result<RecordBatch, SqlError> {
-    execute_inner(q, db, &mut ExecSpans::disabled())
-}
-
-/// Executes a parsed query, recording per-operator [`Category::Exec`]
-/// spans into `tracer` under a root `"query"` span.
-pub fn execute_traced(q: &Query, db: &MemDb, tracer: &mut Tracer) -> Result<RecordBatch, SqlError> {
-    let clock = Instant::now();
-    let root = tracer.open("query", "exec", Category::Exec, None, SimTime::ZERO);
-    let mut spans = ExecSpans {
-        inner: Some((tracer, root)),
-        profile: None,
-        clock,
-    };
-    let out = execute_inner(q, db, &mut spans)?;
-    spans.close_root(out.num_rows());
-    Ok(out)
-}
-
-/// Selectivity of a filter step: fraction of input rows that pass.
-fn selectivity(rows_in: usize, rows_out: usize) -> Option<f64> {
-    (rows_in > 0).then(|| rows_out as f64 / rows_in as f64)
-}
-
-fn execute_inner(q: &Query, db: &MemDb, spans: &mut ExecSpans) -> Result<RecordBatch, SqlError> {
-    let t0 = spans.now();
-    let mut current = db.table(&q.from)?.clone();
-    spans.op_ext(
-        ops::SCAN,
-        t0,
-        current.num_rows(),
-        current.num_rows(),
-        current.byte_size() as u64,
-        None,
-        KernelStats::default(),
-    );
-
-    // Pushdown-equivalent: conjuncts on base-table columns apply before
-    // joins; the rest after. Each side fuses into a single mask.
-    let (pushed, residual): (Vec<&Comparison>, Vec<&Comparison>) = match &q.predicate {
-        Some(p) => p
-            .conjuncts
-            .iter()
-            .partition(|c| current.schema().index_of(&c.column).is_ok()),
-        None => (Vec::new(), Vec::new()),
-    };
-    let mut joins = q.joins.iter();
-    if !pushed.is_empty() {
-        if let Some(j) = joins.next() {
-            // Selection-vector pushdown: the filter yields row indices and
-            // the first join probes through them, so the filtered batch is
-            // never materialized — passing rows are gathered once, as part
-            // of the join output. (The filter op reports 0 output bytes
-            // for the same reason.)
-            let right = db.table(&j.table)?;
-            let t0 = spans.now();
-            let rows_in = current.num_rows();
-            let sel = selection_indices(&current, &pushed)?;
-            spans.op_ext(
-                ops::FILTER,
-                t0,
-                rows_in,
-                sel.len(),
-                0,
-                selectivity(rows_in, sel.len()),
-                KernelStats::default(),
-            );
-            let t0 = spans.now();
-            let rows_in = sel.len() + right.num_rows();
-            let mut ks = KernelStats::default();
-            let (lr, rr) = join_rows(
-                &current,
-                right,
-                &j.left_key,
-                &j.right_key,
-                Some(&sel),
-                &mut ks,
-            )?;
-            current = assemble_join(&current, right, &j.right_key, &lr, &rr)?;
-            spans.op_ext(
-                ops::JOIN,
-                t0,
-                rows_in,
-                current.num_rows(),
-                current.byte_size() as u64,
-                None,
-                ks,
-            );
-        } else {
-            let t0 = spans.now();
-            let rows_in = current.num_rows();
-            current = apply_conjuncts(&current, &pushed)?;
-            spans.op_ext(
-                ops::FILTER,
-                t0,
-                rows_in,
-                current.num_rows(),
-                current.byte_size() as u64,
-                selectivity(rows_in, current.num_rows()),
-                KernelStats::default(),
-            );
-        }
-    }
-    for j in joins {
-        let right = db.table(&j.table)?;
-        let t0 = spans.now();
-        let rows_in = current.num_rows() + right.num_rows();
-        let mut ks = KernelStats::default();
-        let (lr, rr) = join_rows(&current, right, &j.left_key, &j.right_key, None, &mut ks)?;
-        current = assemble_join(&current, right, &j.right_key, &lr, &rr)?;
-        spans.op_ext(
-            ops::JOIN,
-            t0,
-            rows_in,
-            current.num_rows(),
-            current.byte_size() as u64,
-            None,
-            ks,
-        );
-    }
-    if !residual.is_empty() {
-        let t0 = spans.now();
-        let rows_in = current.num_rows();
-        current = apply_conjuncts(&current, &residual)?;
-        spans.op_ext(
-            ops::FILTER,
-            t0,
-            rows_in,
-            current.num_rows(),
-            current.byte_size() as u64,
-            selectivity(rows_in, current.num_rows()),
-            KernelStats::default(),
-        );
-    }
-
-    if q.is_aggregate() {
-        let t0 = spans.now();
-        let rows_in = current.num_rows();
-        let mut ks = KernelStats::default();
-        current = aggregate_with_stats(q, &current, &mut ks)?;
-        spans.op_ext(
-            ops::AGGREGATE,
-            t0,
-            rows_in,
-            current.num_rows(),
-            current.byte_size() as u64,
-            None,
-            ks,
-        );
-    } else {
-        let cols = q.projected_columns();
-        if !cols.is_empty() && !cols.contains(&"*") {
-            let t0 = spans.now();
-            current = current.project(&cols).map_err(wrap)?;
-            spans.op_ext(
-                ops::PROJECT,
-                t0,
-                current.num_rows(),
-                current.num_rows(),
-                current.byte_size() as u64,
-                None,
-                KernelStats::default(),
-            );
-        }
-    }
-
-    if let Some(ob) = &q.order_by {
-        let t0 = spans.now();
-        current = sort_by(&current, &ob.column, ob.descending)?;
-        spans.op_ext(
-            ops::SORT,
-            t0,
-            current.num_rows(),
-            current.num_rows(),
-            current.byte_size() as u64,
-            None,
-            KernelStats::default(),
-        );
-    }
-    if let Some(n) = q.limit {
-        let t0 = spans.now();
-        let rows_in = current.num_rows();
-        let keep = (n.max(0) as usize).min(current.num_rows());
-        let indices: Vec<usize> = (0..keep).collect();
-        current = compute::take_indices(&current, &indices).map_err(wrap)?;
-        spans.op_ext(
-            ops::LIMIT,
-            t0,
-            rows_in,
-            current.num_rows(),
-            current.byte_size() as u64,
-            None,
-            KernelStats::default(),
-        );
-    }
-    // Output boundary: results leave the engine as plain columns, so a
-    // query over dictionary-encoded tables is byte-identical to one over
-    // plain tables.
-    Ok(current.dict_decoded())
+    let perm: Vec<usize> = keys
+        .sort_range(order, 0, batch.num_rows() as u32)
+        .into_iter()
+        .map(|i| i as usize)
+        .collect();
+    compute::take_indices(batch, &perm).map_err(wrap)
 }
 
 #[cfg(test)]
@@ -1469,55 +1159,6 @@ mod tests {
         let out = db().query("SELECT * FROM users").unwrap();
         assert_eq!(out.num_rows(), 3);
         assert_eq!(out.num_columns(), 2);
-    }
-
-    #[test]
-    fn traced_query_emits_operator_spans() {
-        let (out, trace) = db()
-            .query_traced(
-                "SELECT country, sum(value) AS total FROM events \
-                 JOIN users ON user_id = user_id \
-                 WHERE kind = 'click' GROUP BY country ORDER BY country LIMIT 5",
-            )
-            .unwrap();
-        assert_eq!(out.num_rows(), 2);
-        trace.validate().unwrap();
-        let names: Vec<&str> = trace.spans().iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "query",
-                ops::SCAN,
-                ops::FILTER,
-                ops::JOIN,
-                ops::AGGREGATE,
-                ops::SORT,
-                ops::LIMIT
-            ]
-        );
-        assert_eq!(trace.count_category(Category::Exec), names.len());
-        // Operator spans nest under the root and carry row counts.
-        let root = trace.spans()[0].id;
-        for s in &trace.spans()[1..] {
-            assert_eq!(s.parent, Some(root));
-            assert!(s.attr("rows_in").is_some() && s.attr("rows_out").is_some());
-        }
-        let agg = trace
-            .spans()
-            .iter()
-            .find(|s| s.name == ops::AGGREGATE)
-            .unwrap();
-        assert_eq!(agg.attr("rows_out"), Some("2"));
-        // The untraced path computes the identical answer.
-        assert_eq!(
-            db().query(
-                "SELECT country, sum(value) AS total FROM events \
-                 JOIN users ON user_id = user_id \
-                 WHERE kind = 'click' GROUP BY country ORDER BY country LIMIT 5",
-            )
-            .unwrap(),
-            out
-        );
     }
 }
 

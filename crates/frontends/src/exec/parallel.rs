@@ -36,7 +36,8 @@ use skadi_arrow::schema::{Field, Schema};
 
 use super::pool::{self, morsels, PARALLEL_MIN_ROWS};
 use super::{
-    fold_hash, group_key_eq, join_key_eq, resolve_agg, wrap, AggKind, KernelStats, EMPTY_SLOT,
+    fold_hash, group_key_eq, join_key_eq, resolve_agg, wrap, AggKind, Aggregated, KernelStats,
+    EMPTY_SLOT,
 };
 use crate::sql::ast::Comparison;
 use crate::sql::SqlError;
@@ -242,31 +243,11 @@ pub(crate) fn join_rows_partitioned(
     lcol: &Array,
     rcol: &Array,
     mixed: bool,
-    left_sel: Option<&[usize]>,
     stats: &mut KernelStats,
 ) -> (Vec<usize>, Vec<usize>) {
     let pool = pool::global();
     let rh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(rcol, mixed));
-
-    // Probe-side hashes, in probe order (morsel-parallel on the selection
-    // path, where rows hash one at a time).
-    let lh: Arc<Vec<u64>> = Arc::new(match left_sel {
-        None => compute::hash_key_column(lcol, mixed),
-        Some(sel) => {
-            let sel2: Arc<Vec<usize>> = Arc::new(sel.to_vec());
-            let lcol2 = lcol.clone();
-            let ranges = morsels(sel.len());
-            let ranges2 = ranges.clone();
-            pool.run_indexed(ranges.len(), move |m| {
-                let (lo, hi) = ranges2[m];
-                sel2[lo..hi]
-                    .iter()
-                    .map(|&l| compute::hash_key_at(&lcol2, mixed, l))
-                    .collect::<Vec<u64>>()
-            })
-            .concat()
-        }
-    });
+    let lh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(lcol, mixed));
 
     // Partition the build rows by hash prefix.
     let ranges = morsels(rh.len());
@@ -321,7 +302,6 @@ pub(crate) fn join_rows_partitioned(
     let ranges2 = ranges.clone();
     let lcol2 = lcol.clone();
     let rcol2 = rcol.clone();
-    let sel2: Option<Arc<Vec<usize>>> = left_sel.map(|s| Arc::new(s.to_vec()));
     let lh2 = Arc::clone(&lh);
     let rh4 = Arc::clone(&rh);
     let tables2 = Arc::clone(&tables);
@@ -331,15 +311,11 @@ pub(crate) fn join_rows_partitioned(
         let mut rrows: Vec<usize> = Vec::new();
         let mut collisions = 0u64;
         let l_validity = lcol2.validity();
-        for i in lo..hi {
-            let l = match &sel2 {
-                Some(s) => s[i],
-                None => i,
-            };
+        for l in lo..hi {
             if l_validity.is_some_and(|v| !v.get(l)) {
                 continue;
             }
-            let h = lh2[i];
+            let h = lh2[l];
             let t = &tables2[partition_of(h)];
             let mask = t.cap as u64 - 1;
             let mut slot = t.head[(fold_hash(h) & mask) as usize];
@@ -391,7 +367,7 @@ pub(crate) fn aggregate_partitioned(
     aggs: &[(String, String, String)],
     input: &RecordBatch,
     stats: &mut KernelStats,
-) -> Result<RecordBatch, SqlError> {
+) -> Result<Aggregated, SqlError> {
     let pool = pool::global();
     let nrows = input.num_rows();
     let hashes: Arc<Vec<u64>> = Arc::new(compute::hash_rows(input, group_cols));
@@ -435,7 +411,7 @@ pub(crate) fn aggregate_partitioned(
     let k2 = Arc::clone(&kinds);
     let gcols: Arc<Vec<usize>> = Arc::new(group_cols.to_vec());
     let input2 = input.clone();
-    let parts = pool.run_indexed(PARTITIONS, move |p| {
+    let mut parts = pool.run_indexed(PARTITIONS, move |p| {
         let rows = &pr2[p];
         let mut table = GroupTable::with_capacity_hint(rows.len());
         let cap = table.capacity();
@@ -509,7 +485,14 @@ pub(crate) fn aggregate_partitioned(
     for (k, kind) in kinds.iter().enumerate() {
         columns.push(gather_agg(&parts, k, &entries, kind.data_type()));
     }
-    RecordBatch::try_new(Schema::new(fields), columns).map_err(wrap)
+    Ok(Aggregated {
+        batch: RecordBatch::try_new(Schema::new(fields), columns).map_err(wrap)?,
+        keys: entries
+            .iter()
+            .map(|&(p, g)| std::mem::take(&mut parts[p].keys[g]))
+            .collect(),
+        first_rows: ordered_reps,
+    })
 }
 
 /// Gathers one aggregate's output column across partitions in merged
@@ -667,10 +650,10 @@ fn fold_rows_f64(
 /// The merge tie-breaks equal keys by row index, a total order — so any
 /// merge shape yields the unique permutation of the full stable sort,
 /// identical to [`compute::sort_to_indices`].
-pub(crate) fn sort_permutation(col: &Array, order: SortOrder) -> Vec<usize> {
+pub(crate) fn sort_permutation(keys: compute::SortKeys, order: SortOrder) -> Vec<usize> {
     let pool = pool::global();
-    let keys = Arc::new(compute::SortKeys::new(col));
-    let ranges = morsels(col.len());
+    let ranges = morsels(keys.len());
+    let keys = Arc::new(keys);
     let ranges2 = ranges.clone();
     let k2 = Arc::clone(&keys);
     let mut runs: Vec<Vec<u32>> = pool.run_indexed(ranges.len(), move |m| {
@@ -768,7 +751,7 @@ mod tests {
         for threads in [1, 2, 4] {
             pool::set_global_threads(threads);
             let mut stats = KernelStats::default();
-            let got = join_rows_partitioned(&lcol, &rcol, false, None, &mut stats);
+            let got = join_rows_partitioned(&lcol, &rcol, false, &mut stats);
             assert_eq!(got, expected, "threads={threads}");
             assert_eq!(stats.rehashes, 0);
             let sig = (stats.hash_slots, stats.hash_collisions);
@@ -777,30 +760,6 @@ mod tests {
             }
             baseline = Some(sig);
         }
-    }
-
-    #[test]
-    fn partitioned_join_respects_selection_order() {
-        let _guard = pool::test_guard();
-        let n = PARALLEL_MIN_ROWS + 100;
-        let lkeys = pseudo(n, 11, 50);
-        let lcol = Array::from_i64(lkeys.clone());
-        let rcol = Array::from_i64((0..50).collect());
-        // A scrambled-but-deterministic selection: every third row, twice.
-        let sel: Vec<usize> = (0..n).step_by(3).chain((0..n).step_by(3)).collect();
-
-        pool::set_global_threads(4);
-        let mut stats = KernelStats::default();
-        let (lr, rr) = join_rows_partitioned(&lcol, &rcol, false, Some(&sel), &mut stats);
-        let mut expected: (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
-        for &l in &sel {
-            let k = lkeys[l];
-            if (0..50).contains(&k) {
-                expected.0.push(l);
-                expected.1.push(k as usize);
-            }
-        }
-        assert_eq!((lr, rr), expected);
     }
 
     #[test]
@@ -833,7 +792,9 @@ mod tests {
         for threads in [1, 4] {
             pool::set_global_threads(threads);
             let mut stats = KernelStats::default();
-            let out = aggregate_partitioned(&[0], &aggs, &input, &mut stats).unwrap();
+            let out = aggregate_partitioned(&[0], &aggs, &input, &mut stats)
+                .unwrap()
+                .batch;
             assert_eq!(out.num_rows(), by_key.len());
             assert_eq!(stats.groups, by_key.len() as u64);
             assert_eq!(stats.rehashes, 0);
@@ -859,7 +820,10 @@ mod tests {
             };
             for threads in [1, 4] {
                 pool::set_global_threads(threads);
-                assert_eq!(sort_permutation(&col, order), serial);
+                assert_eq!(
+                    sort_permutation(compute::SortKeys::new(&col), order),
+                    serial
+                );
             }
         }
     }

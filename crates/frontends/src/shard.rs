@@ -1,33 +1,39 @@
-//! Single-shard execution of physical-graph operators.
+//! Single-shard execution of physical-graph operators — the one SQL
+//! interpreter.
 //!
-//! The distributed runtime executes a physical graph one task per shard;
-//! each task's compute is described by an [`ExecOp`] attached during SQL
-//! planning. This module interprets those descriptors over real
-//! [`RecordBatch`]es, reusing the local engine's vectorized kernels
-//! (`exec::join_rows`, `exec::aggregate_spec`, ...), so the distributed
-//! data plane and the single-process reference engine share one code
-//! path per operator.
+//! SQL planning attaches an [`ExecOp`] descriptor to every FlowGraph
+//! vertex. This module interprets those descriptors over real
+//! [`RecordBatch`]es with the vectorized kernels in [`crate::exec`]
+//! (`join_rows`, `aggregate_spec`, ...). Two callers run it:
+//!
+//! - the distributed data plane (`skadi::GraphExecutor`) runs one task
+//!   per shard of the lowered physical graph, with inputs decoded from
+//!   the producers' IPC payloads;
+//! - [`run_graph`] runs a planned graph in-process, one shard per
+//!   vertex, with no runtime and no IPC. It serves
+//!   [`MemDb::query`](crate::exec::MemDb::query) and the adaptive pilot
+//!   pass.
 //!
 //! # Determinism and byte-identity
 //!
 //! The contract is that collecting a distributed run yields a batch
-//! **byte-identical** to [`MemDb`](crate::exec::MemDb) at any
-//! parallelism. Two hidden columns make that possible:
+//! **byte-identical** to the single-shard run at any parallelism. Two
+//! hidden columns make that possible:
 //!
 //! - `__rid` ([`RID`]): a row id threaded from the scans. Shard `i` of an
 //!   `n`-row table scans the contiguous row range `[i*n/N, (i+1)*n/N)`,
 //!   so a row's id is its position in the full table; a join emits
 //!   `left_rid * right_table_rows + right_rid`, which reproduces the
-//!   reference engine's probe-order output as an ascending sort key.
+//!   single-shard probe-order output as an ascending sort key.
 //! - `__gkey` ([`GKEY`]): the rendered group key of an aggregate output
-//!   row. The reference engine orders groups by rendered key; sorting
-//!   shard outputs by `__gkey` merges hash-partitioned groups back into
-//!   that order (with min-`__rid` kept as a deterministic tiebreak).
+//!   row. Aggregates order groups by rendered key; sorting shard outputs
+//!   by `__gkey` merges hash-partitioned groups back into that order
+//!   (with min-`__rid` kept as a deterministic tiebreak).
 //!
 //! Every shard first puts its gathered input into **canonical order**
 //! (stable sort by `__rid`, then by `__gkey` — so the group key is the
 //! primary key where present). That makes per-group fold order equal to
-//! the reference engine's row order bit-for-bit (floating-point sums
+//! the single-shard row order bit-for-bit (floating-point sums
 //! included), no matter how batches were partitioned or which failed
 //! task recomputed them. The sink strips both hidden columns.
 //!
@@ -40,14 +46,16 @@
 //! pass `coerce = true` so mixed `Int64`/`Float64` key pairs co-locate
 //! by their `f64` bit pattern.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::time::{Duration, Instant};
 
-use skadi_arrow::array::Array;
+use skadi_arrow::array::{Array, DictUtf8Array};
 use skadi_arrow::batch::RecordBatch;
 use skadi_arrow::compute;
 use skadi_arrow::datatype::DataType;
 use skadi_arrow::schema::{Field, Schema};
-use skadi_flowgraph::{ExecAgg, ExecCompare, ExecLiteral, ExecOp};
+use skadi_flowgraph::profile::ShardStats;
+use skadi_flowgraph::{ExecAgg, ExecCompare, ExecLiteral, ExecOp, FlowGraph, VertexId};
 
 use crate::exec::{self, sort_by, wrap};
 use crate::sql::ast::{Comparison, Literal};
@@ -61,6 +69,26 @@ pub const GKEY: &str = "__gkey";
 /// True if `name` is reserved for the data plane's hidden columns.
 pub fn is_hidden(name: &str) -> bool {
     name == RID || name == GKEY
+}
+
+/// Rejects tables with a column in the reserved `__` namespace, where
+/// the hidden bookkeeping columns live. [`run_graph`] and distributed
+/// SQL both check this before running, so they fail with one error.
+pub fn check_reserved_columns(tables: &BTreeMap<String, RecordBatch>) -> Result<(), SqlError> {
+    for (name, batch) in tables {
+        if let Some(f) = batch
+            .schema()
+            .fields()
+            .iter()
+            .find(|f| f.name.starts_with("__"))
+        {
+            return Err(SqlError::Plan(format!(
+                "table {name:?}: column {:?} uses the reserved \"__\" prefix",
+                f.name
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Per-shard kernel measurements from one [`execute_shard_stats`] call:
@@ -86,6 +114,106 @@ impl ShardExecStats {
     pub fn selectivity(&self) -> Option<f64> {
         (self.filter_rows_in > 0).then(|| self.filter_rows_out as f64 / self.filter_rows_in as f64)
     }
+
+    /// The shard's profile entry: these kernel counters plus the
+    /// caller's row counts, output size and wall time.
+    pub fn shard_stats(
+        &self,
+        rows_in: usize,
+        rows_out: usize,
+        output_bytes: u64,
+        wall: Duration,
+    ) -> ShardStats {
+        ShardStats {
+            shard: 0,
+            rows_in: rows_in as u64,
+            rows_out: rows_out as u64,
+            output_bytes,
+            wall_nanos: wall.as_nanos() as u64,
+            selectivity: self.selectivity(),
+            hash_slots: self.kernel.hash_slots,
+            hash_collisions: self.kernel.hash_collisions,
+            groups: self.kernel.groups,
+            rehashes: self.kernel.rehashes,
+        }
+    }
+}
+
+/// What [`run_graph`] produced.
+#[derive(Debug, Clone)]
+pub struct GraphRun {
+    /// The output of the last vertex in topological order: a SQL plan's
+    /// sink, i.e. the query result.
+    pub output: RecordBatch,
+    /// Every vertex's profile entry; `output_bytes` is the output's
+    /// in-memory size.
+    pub vertices: BTreeMap<VertexId, ShardStats>,
+}
+
+/// Runs a planned graph in-process: every vertex once, single-sharded,
+/// in topological order, through [`execute_shard_stats`] — no runtime,
+/// no IPC. A vertex's port inputs are its producers' outputs, ordered by
+/// `(port, producer)` like the data plane's. `observe` sees each output
+/// as it is produced; `run_graph` itself keeps an output only until its
+/// last consumer has run. Fails on reserved column names
+/// ([`check_reserved_columns`]) and on a vertex without an exec
+/// descriptor (SQL plans always carry one).
+pub fn run_graph(
+    g: &FlowGraph,
+    tables: &BTreeMap<String, RecordBatch>,
+    mut observe: impl FnMut(VertexId, &RecordBatch),
+) -> Result<GraphRun, SqlError> {
+    check_reserved_columns(tables)?;
+    let order = g
+        .topo_order()
+        .map_err(|e| SqlError::Plan(format!("plan: {e}")))?;
+    let mut pending: HashMap<VertexId, usize> = HashMap::new();
+    for e in g.edges() {
+        *pending.entry(e.from).or_default() += 1;
+    }
+    let mut outputs: HashMap<VertexId, RecordBatch> = HashMap::new();
+    let mut vertices = BTreeMap::new();
+    let mut last = None;
+    for v in order {
+        let exec = g
+            .vertex(v)
+            .exec
+            .as_ref()
+            .ok_or_else(|| SqlError::Plan(format!("vertex {v} has no exec descriptor")))?;
+        let mut ins: Vec<_> = g.edges().iter().filter(|e| e.to == v).collect();
+        ins.sort_by_key(|e| (e.port, e.from.0));
+        let mut port0: Vec<RecordBatch> = Vec::new();
+        let mut port1: Vec<RecordBatch> = Vec::new();
+        for e in ins {
+            let left = pending.get_mut(&e.from).expect("every edge counted");
+            *left -= 1;
+            let b = if *left == 0 {
+                outputs.remove(&e.from)
+            } else {
+                outputs.get(&e.from).cloned()
+            }
+            .expect("producers run first");
+            if e.port == 1 {
+                port1.push(b);
+            } else {
+                port0.push(b);
+            }
+        }
+        let rows_in = port0.iter().chain(&port1).map(RecordBatch::num_rows).sum();
+        let mut stats = ShardExecStats::default();
+        let started = Instant::now();
+        let out = execute_shard_stats(exec, tables, 0, 1, &port0, &port1, &mut stats)?;
+        let wall = started.elapsed();
+        observe(v, &out);
+        let bytes = out.byte_size() as u64;
+        vertices.insert(v, stats.shard_stats(rows_in, out.num_rows(), bytes, wall));
+        if pending.get(&v).is_some_and(|&n| n > 0) {
+            outputs.insert(v, out.clone());
+        }
+        last = Some(out);
+    }
+    let output = last.ok_or_else(|| SqlError::Plan("empty plan".into()))?;
+    Ok(GraphRun { output, vertices })
 }
 
 /// Executes one shard's operator chain. `port0` holds the (probe-side)
@@ -198,9 +326,9 @@ pub fn execute_shard_adaptive(
                         if let Some(n) = limit {
                             cur = truncate(&cur, n as usize)?;
                         }
-                        // Output boundary: deliver plain columns so the
-                        // result matches the reference engine regardless
-                        // of which columns ran dictionary-encoded.
+                        // Output boundary: deliver plain columns, so the
+                        // result is the same whichever columns ran
+                        // dictionary-encoded.
                         strip_hidden(&cur)?.dict_decoded()
                     }
                     ExecOp::Scan { .. } | ExecOp::Join { .. } | ExecOp::Fused(_) => {
@@ -256,18 +384,39 @@ pub fn split_even(batch: &RecordBatch, parts: usize) -> Result<Vec<RecordBatch>,
 
 /// Concatenates input batches (producer shard order) and puts the result
 /// into canonical order.
+///
+/// One part is neither copied nor re-sorted. It comes from one producer
+/// shard, which emits either canonical order (scan, filter, project,
+/// join and aggregate outputs are canonical by construction) or a stable
+/// sort of canonical rows by the query's order key (sort and limit
+/// outputs). Every consumer of the latter stably re-sorts by that same
+/// key, and a stable sort of canonicalized rows reproduces the
+/// producer's order, so canonicalizing first could not change the
+/// consumer's output. Its dictionary columns are still re-keyed the way
+/// a concatenation re-keys them, so what a shard emits — and the payload
+/// bytes the simulator prices — does not depend on the part count.
 fn gather(parts: &[RecordBatch]) -> Result<RecordBatch, SqlError> {
-    if parts.is_empty() {
-        return Err(SqlError::Plan("operator shard received no input".into()));
+    match parts {
+        [] => Err(SqlError::Plan("operator shard received no input".into())),
+        [one] => {
+            let columns = one
+                .columns()
+                .iter()
+                .map(|c| match c {
+                    Array::DictUtf8(d) => Array::DictUtf8(DictUtf8Array::concat(&[d])),
+                    other => other.clone(),
+                })
+                .collect();
+            RecordBatch::try_new(one.schema().clone(), columns).map_err(wrap)
+        }
+        _ => canonicalize(&RecordBatch::concat(parts).map_err(wrap)?),
     }
-    let all = RecordBatch::concat(parts).map_err(wrap)?;
-    canonicalize(&all)
 }
 
 /// Canonical order: stable sort by `__rid`, then (stable) by `__gkey`,
 /// making the group key primary where both exist. Batches with neither
 /// column pass through unchanged.
-pub fn canonicalize(batch: &RecordBatch) -> Result<RecordBatch, SqlError> {
+fn canonicalize(batch: &RecordBatch) -> Result<RecordBatch, SqlError> {
     let mut out = batch.clone();
     if out.schema().index_of(RID).is_ok() {
         out = sort_by(&out, RID, false)?;
@@ -304,22 +453,25 @@ fn append_column(batch: &RecordBatch, field: Field, col: Array) -> Result<Record
 }
 
 /// Shard `shard` of a base-table scan: the contiguous row range
-/// `[shard*n/shards, (shard+1)*n/shards)` plus its `__rid` column.
+/// `[shard*n/shards, (shard+1)*n/shards)` plus its `__rid` column. A
+/// single shard takes the whole table as an O(1) clone.
 ///
-/// Eligible `Utf8` columns dictionary-encode here, at the data plane's
-/// entry point, so every downstream shuffle ships keys instead of string
-/// bytes. The encode decision is made on the *whole table* (not the
-/// slice) so every shard agrees on the column type; slices then share
-/// the table-level dictionary via O(1) clones. The Collect sink decodes,
-/// keeping results byte-identical to the plain reference engine.
+/// Tables arrive scan-ready: [`MemDb::tables`](crate::exec::MemDb::tables)
+/// dictionary-encodes eligible `Utf8` columns once per database, so every
+/// shard agrees on the column types, slices share the table-level
+/// dictionary, and every downstream shuffle ships keys instead of string
+/// bytes. The Collect sink decodes, so results are plain columns.
 fn scan_shard(table: &RecordBatch, shard: u32, shards: u32) -> Result<RecordBatch, SqlError> {
-    let table = table.dict_encoded();
     let n = table.num_rows() as u64;
     let shards = shards.max(1) as u64;
     let lo = (shard as u64 * n / shards) as usize;
     let hi = ((shard as u64 + 1) * n / shards) as usize;
-    let idx: Vec<usize> = (lo..hi).collect();
-    let slice = compute::take_indices(&table, &idx).map_err(wrap)?;
+    let slice = if lo == 0 && hi == table.num_rows() {
+        table.clone()
+    } else {
+        let idx: Vec<usize> = (lo..hi).collect();
+        compute::take_indices(table, &idx).map_err(wrap)?
+    };
     let rid = Array::from_i64((lo..hi).map(|r| r as i64).collect());
     append_column(&slice, Field::new(RID, DataType::Int64, true), rid)
 }
@@ -363,10 +515,10 @@ fn rid_values(batch: &RecordBatch) -> Result<Vec<i64>, SqlError> {
 }
 
 /// One shard of a hash join. Both sides are gathered into canonical
-/// (row-id) order so the probe order matches the reference engine's,
+/// (row-id) order so the probe order matches the single-shard join's,
 /// restricted to the keys hashed to this shard. The output row id is
 /// `left_rid * right_table_rows + right_rid`, which orders join outputs
-/// exactly like the reference engine's probe-order emission.
+/// exactly like the single-shard join's probe-order emission.
 ///
 /// # Adaptive build-side swap
 ///
@@ -402,7 +554,6 @@ fn join_shard(
             &left_vis,
             right_key,
             left_key,
-            None,
             &mut stats.kernel,
         )?;
         (build, probe)
@@ -412,7 +563,6 @@ fn join_shard(
             &right_vis,
             left_key,
             right_key,
-            None,
             &mut stats.kernel,
         )?
     };
@@ -437,40 +587,38 @@ fn join_shard(
 }
 
 /// One shard of an aggregation. The gathered input is in row-id order,
-/// so per-group folds run in exactly the reference engine's row order.
-/// Two extra output columns ride along: `min(__rid)` per group (a
+/// so per-group folds run in exactly the single-shard row order. Two
+/// extra output columns ride along: `min(__rid)` per group (a
 /// deterministic tiebreak, and the canonical secondary sort key) and the
-/// rendered `__gkey` (the canonical primary sort key — the reference
-/// engine's group output order).
+/// rendered `__gkey` (the canonical primary sort key — the aggregate's
+/// group output order), reusing the keys the kernel rendered to order
+/// its groups.
 fn aggregate_shard(
     input: &RecordBatch,
     group_by: &[String],
     aggs: &[ExecAgg],
     kernel: &mut exec::KernelStats,
 ) -> Result<RecordBatch, SqlError> {
-    let mut spec: Vec<(String, String, String)> = aggs
+    let spec: Vec<(String, String, String)> = aggs
         .iter()
         .map(|a| (a.func.clone(), a.column.clone(), a.name.clone()))
         .collect();
-    spec.push(("min".into(), RID.into(), RID.into()));
     let out = exec::aggregate_spec(group_by, &spec, input, kernel)?;
-    let mut keys: Vec<String> = Vec::with_capacity(out.num_rows());
-    for r in 0..out.num_rows() {
-        let parts: Vec<String> = group_by
-            .iter()
-            .map(|g| {
-                out.column_by_name(g)
-                    .map(|c| c.value_at(r).to_string())
-                    .map_err(wrap)
-            })
-            .collect::<Result<_, _>>()?;
-        keys.push(parts.join("\u{1}"));
-    }
-    let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
+    // Row ids ascend down the input, so a group's first row holds its
+    // smallest id. A global aggregate of nothing has none.
+    let min_rid = if input.num_rows() == 0 {
+        Array::from_opt_i64(vec![None; out.batch.num_rows()])
+    } else {
+        input
+            .column_by_name(RID)
+            .map_err(wrap)?
+            .take_rows(&out.first_rows)
+    };
+    let with_rid = append_column(&out.batch, Field::new(RID, DataType::Int64, true), min_rid)?;
     append_column(
-        &out,
+        &with_rid,
         Field::new(GKEY, DataType::Utf8, false),
-        Array::from_utf8(&refs),
+        Array::from_utf8(&out.keys),
     )
 }
 
@@ -568,6 +716,31 @@ mod tests {
     }
 
     #[test]
+    fn one_part_gather_emits_what_a_merge_would() {
+        // Shard 1 of 2 scans "c", "b", "c" against the table-level
+        // dictionary [a, b, c]; keeping rows 0 and 2 leaves two entries
+        // unused. The gathered part must be re-keyed byte for byte as a
+        // concatenation would re-key it.
+        let t = RecordBatch::try_new(
+            Schema::new(vec![Field::new("s", DataType::Utf8, false)]),
+            vec![Array::from_utf8(&["a", "b", "a", "c", "b", "c"])],
+        )
+        .unwrap()
+        .dict_encoded();
+        let tables = BTreeMap::from([("t".to_string(), t)]);
+        let scan =
+            execute_shard(&ExecOp::Scan { table: "t".into() }, &tables, 1, 2, &[], &[]).unwrap();
+        let part = compute::take_indices(&scan, &[0, 2]).unwrap();
+        let merged =
+            canonicalize(&RecordBatch::concat(std::slice::from_ref(&part)).unwrap()).unwrap();
+        let gathered = gather(&[part]).unwrap();
+        assert_eq!(
+            skadi_arrow::ipc::encode(&gathered).as_slice(),
+            skadi_arrow::ipc::encode(&merged).as_slice()
+        );
+    }
+
+    #[test]
     fn adaptive_join_swap_is_byte_identical() {
         // Small probe side, large skewed build side (with null keys):
         // adaptive execution builds on the probe side, yet every shard
@@ -631,6 +804,41 @@ mod tests {
         // Null keys never match; every non-null left key matches 7 or 8
         // duplicated right rows.
         assert!(matched > 0);
+    }
+
+    #[test]
+    fn run_graph_releases_outputs_and_returns_the_sink() {
+        let tables = BTreeMap::from([("t".to_string(), table())]);
+        let mut g = FlowGraph::new();
+        let scan = g.add_source("t", 8, 128);
+        g.set_exec(scan, ExecOp::Scan { table: "t".into() });
+        let sink = g.add_sink("result");
+        g.set_exec(
+            sink,
+            ExecOp::Collect {
+                order_by: Some(("v".into(), true)),
+                limit: Some(2),
+            },
+        );
+        g.connect(scan, sink).unwrap();
+        let mut seen = Vec::new();
+        let run = run_graph(&g, &tables, |v, b| seen.push((v, b.num_rows()))).unwrap();
+        assert_eq!(seen, vec![(scan, 8), (sink, 2)]);
+        assert_eq!(run.output.column(1).value_at(0), Value::F64(8.0));
+        assert_eq!(run.vertices[&sink].rows_in, 8);
+        assert_eq!(run.vertices[&scan].rows_out, 8);
+        assert!(!is_hidden(&run.output.schema().field(0).name));
+
+        let bad = BTreeMap::from([(
+            "t".to_string(),
+            RecordBatch::try_new(
+                Schema::new(vec![Field::new("__x", DataType::Int64, false)]),
+                vec![Array::from_i64(vec![1])],
+            )
+            .unwrap(),
+        )]);
+        let err = run_graph(&g, &bad, |_, _| {}).unwrap_err();
+        assert!(err.to_string().contains("reserved"), "{err}");
     }
 
     #[test]

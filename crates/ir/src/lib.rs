@@ -49,7 +49,6 @@ pub mod error;
 pub mod lower;
 pub mod module;
 pub mod op;
-pub mod parser;
 pub mod pass;
 pub mod passes;
 pub mod types;
@@ -58,7 +57,6 @@ pub use backend::{Backend, BackendPolicy, CostEstimate};
 pub use error::IrError;
 pub use module::Module;
 pub use op::{Attr, Dialect, Op, OpId, ValueId};
-pub use parser::parse_module;
 pub use pass::{Pass, PassManager};
 pub use types::{frame_ty, IrType, ScalarType};
 

@@ -360,8 +360,8 @@ pub fn chaos_plan_regicide(topo: &Topology, cfg: &RuntimeConfig, seed: u64) -> F
         servers.len() >= 3,
         "regicide needs at least three servers (two die)"
     );
-    // The boot scheduler lives on the first server; with rack-aware
-    // election off the lowest-ID survivor inherits the crown.
+    // The boot scheduler lives on the first server; the lowest-ID
+    // survivor inherits the crown.
     let king = servers[0];
     let heir = servers[1];
     let t1 = rng.range(300, 1_500);

@@ -64,9 +64,8 @@ use crate::executor::{ReadyTask, TaskExecutor};
 use crate::failure::FailurePlan;
 use crate::job::{Job, JobStats};
 use crate::lineage::LineageLog;
-use crate::scheduler::{
-    Autoscaler, GangTracker, NodeFacts, PlacementPolicy, Placer, ScaleDecision,
-};
+use crate::placement::{NodeFacts, PlacementPolicy, Placer};
+use crate::scheduler::{Autoscaler, GangTracker, ScaleDecision};
 use crate::task::{ActorId, TaskId, TaskRecord, TaskState};
 
 /// Simulation events. Task events carry the task's epoch so events from
@@ -316,11 +315,6 @@ impl Cluster {
     /// estimates in storage, transfer, and inlining decisions.
     pub fn set_executor(&mut self, exec: Box<dyn TaskExecutor>) {
         self.executor = Some(exec);
-    }
-
-    /// Removes the installed executor (estimate-only runs again).
-    pub fn clear_executor(&mut self) {
-        self.executor = None;
     }
 
     /// A finished task's stored payload bytes from the last run (only
@@ -2071,30 +2065,11 @@ impl Cluster {
             // the same node failed and recovered between schedulings).
             return;
         }
-        // Winner choice: by default the lowest-numbered surviving server.
-        // With `rack_aware_election`, prefer a candidate in the
-        // least-impacted rack (fewest failed nodes) — a rack already
-        // absorbing failures is a bad home for the control plane — with
-        // the node ID as the deterministic tie-break.
-        let winner = if self.cfg.rack_aware_election {
-            let mut failed_per_rack: HashMap<u16, u32> = HashMap::new();
-            for n in &self.failed_nodes {
-                *failed_per_rack.entry(self.topo.rack_of(*n).0).or_insert(0) += 1;
-            }
-            self.topo
-                .servers()
-                .into_iter()
-                .filter(|n| !self.failed_nodes.contains(n))
-                .min_by_key(|n| {
-                    let rack = self.topo.rack_of(*n).0;
-                    (failed_per_rack.get(&rack).copied().unwrap_or(0), *n)
-                })
-        } else {
-            self.topo
-                .servers()
-                .into_iter()
-                .find(|n| !self.failed_nodes.contains(n))
-        };
+        let winner = self
+            .topo
+            .servers()
+            .into_iter()
+            .find(|n| !self.failed_nodes.contains(n));
         let Some(winner) = winner else {
             // No server survives. If one is scheduled to rejoin, hold the
             // election then; otherwise the cluster stays headless and the

@@ -11,7 +11,7 @@ use skadi_dcsim::time::SimDuration;
 use skadi_ownership::resolve::{ResolutionMode, RoutePolicy};
 use skadi_store::ec::EcConfig;
 
-use crate::scheduler::PlacementPolicy;
+use crate::placement::PlacementPolicy;
 
 /// The hardware generation of the stateful serverless runtime (§2.3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,11 +153,6 @@ pub struct RuntimeConfig {
     /// scheduler. State reconstruction — querying every surviving raylet
     /// — is priced on the network on top of this.
     pub election_delay: SimDuration,
-    /// Rack-aware election winner choice: the failover prefers a
-    /// candidate in the least-impacted rack (fewest failed nodes) over
-    /// the plain lowest-ID surviving server; ties break by node ID so
-    /// the election stays deterministic.
-    pub rack_aware_election: bool,
     /// RNG seed for any stochastic tie-breaks.
     pub seed: u64,
     /// Record causal spans for every control message and data transfer.
@@ -188,7 +183,6 @@ impl RuntimeConfig {
             cache_fetched_copies: true,
             max_attempts: 5,
             election_delay: SimDuration::from_micros(500),
-            rack_aware_election: false,
             seed: 42,
             tracing: false,
             debug_invariants: false,
@@ -288,18 +282,6 @@ impl RuntimeConfig {
     /// Enables causal span tracing.
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
-        self
-    }
-
-    /// Overrides the control-plane failover election delay.
-    pub fn with_election_delay(mut self, d: SimDuration) -> Self {
-        self.election_delay = d;
-        self
-    }
-
-    /// Enables rack-aware election winner choice.
-    pub fn with_rack_aware_election(mut self, on: bool) -> Self {
-        self.rack_aware_election = on;
         self
     }
 

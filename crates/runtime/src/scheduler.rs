@@ -13,10 +13,6 @@ use skadi_dcsim::time::{SimDuration, SimTime};
 use crate::config::AutoscaleConfig;
 use crate::task::{GangId, TaskId};
 
-// Placement moved to its own module (`crate::placement`) when the
-// policy set grew; re-exported here so existing paths keep working.
-pub use crate::placement::{NodeFacts, PlacementPolicy, PlacementStrategy, Placer};
-
 /// A gang member reported ready for a gang nobody declared. Releasing
 /// it anyway would treat the lone member as "the whole gang" (declared
 /// size defaults to zero) — a scheduling bug, not a recoverable state.

@@ -7,8 +7,9 @@
 //! control messages, and occupies a node slot.
 //!
 //! The adaptive path runs a **pilot pass** first: the logical graph's
-//! operators execute once, single-sharded, through the same pure shard
-//! kernels the distributed data plane uses ([`shard::execute_shard`]).
+//! operators execute once, single-sharded and in-process, through the
+//! same function local SQL runs on ([`shard::run_graph`]) and so through
+//! the same shard kernels the distributed data plane uses.
 //! The pilot's *measured* outputs — not estimates — drive re-planning:
 //! for every keyed edge, the producer's real rows are hashed with the
 //! exact partitioner the shuffle will use, and consumers whose key space
@@ -77,40 +78,6 @@ fn starts_with_join(op: &ExecOp) -> bool {
     }
 }
 
-/// Executes the logical graph once, single-sharded, purely locally.
-/// Returns each non-sink vertex's output batch, or `None` when the
-/// graph has a vertex the pilot cannot run (no exec descriptor — only
-/// hand-built graphs; SQL plans always carry one).
-fn pilot_outputs(
-    g: &FlowGraph,
-    tables: &BTreeMap<String, RecordBatch>,
-) -> Option<HashMap<VertexId, RecordBatch>> {
-    let order = g.topo_order().ok()?;
-    let mut out: HashMap<VertexId, RecordBatch> = HashMap::new();
-    for v in order {
-        let vx = g.vertex(v);
-        if matches!(vx.body, VertexBody::Sink { .. }) {
-            continue;
-        }
-        let exec = vx.exec.as_ref()?;
-        let mut ins: Vec<_> = g.edges().iter().filter(|e| e.to == v).collect();
-        ins.sort_by_key(|e| (e.port, e.from.0));
-        let mut port0: Vec<RecordBatch> = Vec::new();
-        let mut port1: Vec<RecordBatch> = Vec::new();
-        for e in ins {
-            let b = out.get(&e.from)?.clone();
-            if e.port == 1 {
-                port1.push(b);
-            } else {
-                port0.push(b);
-            }
-        }
-        let b = shard::execute_shard(exec, tables, 0, 1, &port0, &port1).ok()?;
-        out.insert(v, b);
-    }
-    Some(out)
-}
-
 /// Runs the pilot pass and derives the re-plan list. For every keyed
 /// edge whose consumer would statically shard to
 /// `cfg.default_parallelism`, the producer's pilot output is partitioned
@@ -131,9 +98,14 @@ pub fn plan(
     if parts <= 1 {
         return AdaptivePlan::default();
     }
-    let Some(outputs) = pilot_outputs(g, tables) else {
+    let mut outputs: HashMap<VertexId, RecordBatch> = HashMap::new();
+    if shard::run_graph(g, tables, |v, b| {
+        outputs.insert(v, b.clone());
+    })
+    .is_err()
+    {
         return AdaptivePlan::default();
-    };
+    }
     // Widest measured need per consumer, and the key that set it.
     let mut needed: BTreeMap<u32, (u32, String)> = BTreeMap::new();
     for e in g.edges() {

@@ -163,24 +163,22 @@ fn run_query(db: &MemDb, session: &Session, sql: &str) {
         }
         return;
     }
-    match db.query_traced(sql) {
-        Ok((result, trace)) => {
+    match db.query_profiled(sql) {
+        Ok((result, profile)) => {
             println!("-- answer ({} rows) --", result.num_rows());
             print!("{result}");
-            // Per-operator wall-clock, from the engine's exec spans
-            // (skipping the root "query" umbrella span). Operator names
-            // match the planner's FlowGraph vertices, so this column
-            // reads side by side with the simulated pricing below.
-            let ops: Vec<String> = trace
-                .spans()
+            // Per-operator wall-clock, from the local run's profile.
+            // Operator names are the plan's FlowGraph vertices, so this
+            // column reads side by side with the simulated pricing below.
+            let ops: Vec<String> = profile
+                .ops
                 .iter()
-                .filter(|s| s.parent.is_some())
-                .map(|s| {
+                .map(|op| {
                     format!(
                         "{} {:.0}us ({} rows)",
-                        s.name,
-                        s.duration().as_micros_f64(),
-                        s.attr("rows_out").unwrap_or("?"),
+                        op.op,
+                        op.wall_stats().2 as f64 / 1e3,
+                        op.total_rows_out(),
                     )
                 })
                 .collect();

@@ -7,7 +7,8 @@
 //! extracting this consumer's portion of each edge (hash partition for
 //! shuffles, contiguous slice for scatters, the whole payload for
 //! pipelines/gathers/broadcasts), executing the shard kernel from
-//! `skadi_frontends::shard`, and encoding the result. The returned bytes
+//! `skadi_frontends::shard` — the one SQL interpreter, which `MemDb`
+//! also runs in-process — and encoding the result. The returned bytes
 //! become the task's stored payload, so every downstream size the
 //! simulator prices (transfer bytes, pass-by-value inlining, cache
 //! copies) is **measured**, not estimated.
@@ -17,8 +18,8 @@
 //! canonicalize on the hidden row-id column), so re-executing a task
 //! under lineage recovery reproduces identical bytes — the property the
 //! runtime's replay contract requires, and the one
-//! `tests/distributed_sql.rs` pins byte-for-byte against the
-//! single-process reference engine.
+//! `tests/distributed_sql.rs` pins byte-for-byte against the in-process
+//! run of the same plan at parallelism 1.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -30,7 +31,7 @@ use bytes::Bytes;
 use skadi_arrow::batch::RecordBatch;
 use skadi_arrow::{compression, ipc};
 use skadi_flowgraph::physical::{PEdgeKind, PVertexId, PhysicalGraph};
-use skadi_flowgraph::profile::{OpProfile, QueryProfile, ShardStats};
+use skadi_flowgraph::profile::{QueryProfile, ShardStats};
 use skadi_flowgraph::ExecOp;
 use skadi_frontends::exec::pool;
 use skadi_frontends::shard::{self, ShardExecStats};
@@ -79,11 +80,6 @@ pub struct DataPlaneStats {
 }
 
 impl DataPlaneStats {
-    /// Total wall-clock across all shard executions.
-    pub fn total_wall(&self) -> Duration {
-        self.timings.iter().map(|t| t.wall).sum()
-    }
-
     /// Joins that adaptively built on the nominal probe side (summed
     /// over every shard execution, re-executions included). Always zero
     /// when adaptive execution is off.
@@ -92,10 +88,10 @@ impl DataPlaneStats {
     }
 
     /// Assembles the per-operator [`QueryProfile`] from the recorded
-    /// shard timings and the physical graph's structure. When lineage
-    /// recovery re-executed a task, the LAST recorded timing wins (it is
-    /// the execution whose payload survived). Operator inputs come from
-    /// the graph's edges, deduplicated to `(producer op_id, port)`.
+    /// shard timings and the physical graph's structure, through the
+    /// same builder the local engine uses ([`QueryProfile::from_graph`]).
+    /// When lineage recovery re-executed a task, the LAST recorded timing
+    /// wins (it is the execution whose payload survived).
     pub fn query_profile(
         &self,
         graph: &PhysicalGraph,
@@ -103,58 +99,17 @@ impl DataPlaneStats {
         parallelism: u32,
         skew_multiple: f64,
     ) -> QueryProfile {
-        // Last timing per task wins.
-        let mut by_task: BTreeMap<u64, &ShardTiming> = BTreeMap::new();
-        for t in &self.timings {
-            by_task.insert(t.task.0, t);
-        }
-        let mut ops: BTreeMap<u32, OpProfile> = BTreeMap::new();
-        for v in graph.vertices() {
-            let op = ops.entry(v.op_id).or_insert_with(|| OpProfile {
-                op_id: v.op_id,
-                op: v.op.clone(),
-                body: v.body.clone(),
-                inputs: Vec::new(),
-                shards: Vec::new(),
-            });
-            let timing = by_task.get(&(v.id.0 as u64));
-            let mut s = ShardStats {
-                shard: v.shard,
-                ..ShardStats::default()
-            };
-            if let Some(t) = timing {
-                s.rows_in = t.rows_in as u64;
-                s.rows_out = t.rows_out as u64;
-                s.output_bytes = t.output_bytes;
-                s.wall_nanos = t.wall.as_nanos() as u64;
-                s.selectivity = t.exec_stats.selectivity();
-                s.hash_slots = t.exec_stats.kernel.hash_slots;
-                s.hash_collisions = t.exec_stats.kernel.hash_collisions;
-                s.groups = t.exec_stats.kernel.groups;
-                s.rehashes = t.exec_stats.kernel.rehashes;
-            }
-            op.shards.push(s);
-        }
-        for e in graph.edges() {
-            let from_op = graph.vertex(e.from).op_id;
-            let to_op = graph.vertex(e.to).op_id;
-            if let Some(op) = ops.get_mut(&to_op) {
-                if !op.inputs.contains(&(from_op, e.port)) {
-                    op.inputs.push((from_op, e.port));
-                }
-            }
-        }
-        let mut ops: Vec<OpProfile> = ops.into_values().collect();
-        for op in &mut ops {
-            op.shards.sort_by_key(|s| s.shard);
-            op.inputs.sort_by_key(|&(id, port)| (port, id));
-        }
-        QueryProfile {
-            query: query.to_string(),
-            parallelism,
-            skew_multiple,
-            ops,
-        }
+        let shards: BTreeMap<u32, ShardStats> = self
+            .timings
+            .iter()
+            .map(|t| {
+                let s = t
+                    .exec_stats
+                    .shard_stats(t.rows_in, t.rows_out, t.output_bytes, t.wall);
+                (t.task.0 as u32, s)
+            })
+            .collect();
+        QueryProfile::from_graph(graph, query, parallelism, skew_multiple, &shards)
     }
 }
 

@@ -21,6 +21,7 @@ use skadi_frontends::catalog::Catalog;
 use skadi_frontends::graph::VertexProgram;
 use skadi_frontends::mapreduce::MapReduceJob;
 use skadi_frontends::ml::TrainingPipeline;
+use skadi_frontends::shard;
 use skadi_frontends::sql;
 use skadi_frontends::streaming::StreamJob;
 use skadi_ir::BackendPolicy;
@@ -284,19 +285,7 @@ impl Session {
     ) -> Result<DistributedRun, SkadiError> {
         // The data plane threads hidden "__"-prefixed bookkeeping columns
         // through every shard; user tables must not collide with them.
-        for (name, batch) in db.tables() {
-            if let Some(f) = batch
-                .schema()
-                .fields()
-                .iter()
-                .find(|f| f.name.starts_with("__"))
-            {
-                return Err(SkadiError::Sql(sql::SqlError::Plan(format!(
-                    "table {name:?}: column {:?} uses the reserved \"__\" prefix",
-                    f.name
-                ))));
-            }
-        }
+        shard::check_reserved_columns(db.tables())?;
         // `EXPLAIN ANALYZE <query>` runs the query itself; the prefix
         // only marks that the caller wants the profile rendered.
         let statement = sql::strip_explain_analyze(statement).unwrap_or(statement);

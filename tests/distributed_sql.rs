@@ -1,12 +1,16 @@
-//! Distributed-vs-reference equivalence for the SQL data plane.
+//! Partition invariance of the one SQL interpreter, plus an independent
+//! oracle.
 //!
-//! Every query here runs twice: once through [`MemDb::query`] (the
-//! single-process vectorized engine) and once through
-//! [`Session::sql_distributed`] (planned, sharded, and executed task by
-//! task through the simulated cluster with real record batches). The
-//! collected distributed result must be **byte-identical** — same IPC
-//! frame — at parallelism 1, 2, 4 and 8, under failure injection for
-//! every fault-tolerance mode, and across runtime seeds.
+//! Every query here runs twice through the same shard interpreter: once
+//! through [`MemDb::query`] (the plan at parallelism 1, run in-process)
+//! and once through [`Session::sql_distributed`] (planned, sharded, and
+//! executed task by task through the simulated cluster with real record
+//! batches). The collected distributed result must be
+//! **byte-identical** — same IPC frame — at parallelism 1, 2, 4 and 8,
+//! under failure injection for every fault-tolerance mode, and across
+//! runtime seeds. Since both sides share one interpreter, the analytic
+//! query shapes are also checked against the row-at-a-time baselines in
+//! `skadi_bench::exec_bench`, which share no code with it.
 
 use skadi::arrow::array::Array;
 use skadi::arrow::batch::RecordBatch;
@@ -483,8 +487,124 @@ fn reserved_columns_are_rejected() {
         )
         .unwrap(),
     );
-    let err = session_with(2).sql_distributed(&bad, "SELECT __rid FROM t");
-    assert!(err.is_err(), "reserved column names must be rejected");
+    let sql = "SELECT __rid FROM t";
+    let dist = match session_with(2).sql_distributed(&bad, sql) {
+        Err(SkadiError::Sql(e)) => e.to_string(),
+        other => panic!("reserved column names must be rejected, got {other:?}"),
+    };
+    // The local engine gives the same verdict, word for word.
+    let local = bad.query(sql).unwrap_err().to_string();
+    assert_eq!(local, dist);
+    assert!(local.contains("reserved"), "{local}");
+}
+
+/// Checks `got` against the oracle's `want`: same column names and row
+/// count, equal cells, floats within a relative 1e-9 (partitioned and
+/// morsel-parallel sums add in another order than the oracle's single
+/// pass).
+fn check_against_oracle(got: &RecordBatch, want: &RecordBatch, ctx: &str) {
+    use skadi::arrow::array::Value;
+    let names = |b: &RecordBatch| -> Vec<String> {
+        b.schema().fields().iter().map(|f| f.name.clone()).collect()
+    };
+    assert_eq!(names(got), names(want), "{ctx}: columns");
+    assert_eq!(got.num_rows(), want.num_rows(), "{ctx}: rows");
+    for r in 0..got.num_rows() {
+        for (a, b) in got.row(r).iter().zip(want.row(r).iter()) {
+            let same = match (a, b) {
+                (Value::F64(x), Value::F64(y)) => {
+                    x == y || (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0)
+                }
+                (x, y) => x == y,
+            };
+            assert!(same, "{ctx}: row {r}: {a:?} vs oracle {b:?}");
+        }
+    }
+}
+
+/// The four analytic query shapes — filter + GROUP BY, filter + JOIN +
+/// GROUP BY + ORDER BY, filter + top-N, and high-cardinality GROUP BY +
+/// top-N — on seeded 20k-row tables, through the local engine and
+/// distributed at parallelism 4, each checked against the row-at-a-time
+/// reference engine.
+#[test]
+fn olap_shapes_match_the_row_at_a_time_oracle() {
+    use skadi::arrow::array::Value;
+    use skadi::arrow::compute::CmpOp;
+    use skadi_bench::exec_bench::{
+        baseline_filter, baseline_group_sum_count, baseline_join, baseline_sort, baseline_topn,
+        events_batch, users_batch,
+    };
+
+    let events = events_batch(20_000, 11);
+    let users = users_batch(2_000, 12);
+    let db = MemDb::new()
+        .register("events", events.clone())
+        .register("users", users.clone());
+    let gt = |x: f64| ("value", CmpOp::Gt, Value::F64(x));
+    let lt = |x: f64| ("value", CmpOp::Lt, Value::F64(x));
+    let cases: [(&str, RecordBatch); 4] = [
+        (
+            "SELECT kind, sum(value) AS s, count(*) AS n FROM events \
+             WHERE value > 12.5 AND value < 61.25 GROUP BY kind",
+            baseline_group_sum_count(
+                &baseline_filter(&events, &[gt(12.5), lt(61.25)]),
+                "kind",
+                "value",
+            ),
+        ),
+        (
+            "SELECT country, sum(value) AS s, count(*) AS n FROM events \
+             JOIN users ON user_id = user_id WHERE value > 55.5 \
+             GROUP BY country ORDER BY s DESC",
+            baseline_sort(
+                &baseline_group_sum_count(
+                    &baseline_join(
+                        &baseline_filter(&events, &[gt(55.5)]),
+                        &users,
+                        "user_id",
+                        "user_id",
+                    ),
+                    "country",
+                    "value",
+                ),
+                "s",
+                true,
+            ),
+        ),
+        (
+            "SELECT user_id, kind, value FROM events \
+             WHERE kind = 'scroll' AND value > 20.5 ORDER BY value DESC LIMIT 25",
+            baseline_topn(
+                &baseline_filter(
+                    &events,
+                    &[("kind", CmpOp::Eq, Value::Str("scroll".into())), gt(20.5)],
+                ),
+                "value",
+                25,
+            ),
+        ),
+        (
+            "SELECT user_id, sum(value) AS s, count(*) AS n FROM events \
+             WHERE value > 45.5 GROUP BY user_id ORDER BY s DESC LIMIT 40",
+            baseline_topn(
+                &baseline_group_sum_count(
+                    &baseline_filter(&events, &[gt(45.5)]),
+                    "user_id",
+                    "value",
+                ),
+                "s",
+                40,
+            ),
+        ),
+    ];
+    let session = session_with(4);
+    for (sql, want) in &cases {
+        assert!(want.num_rows() > 0, "{sql}: the oracle found nothing");
+        check_against_oracle(&db.query(sql).unwrap(), want, &format!("local: {sql}"));
+        let run = session.sql_distributed(&db, sql).unwrap();
+        check_against_oracle(&run.batch, want, &format!("parallelism 4: {sql}"));
+    }
 }
 
 /// Pins the shuffle/exec hash contract across crates: the flowgraph

@@ -165,11 +165,10 @@ fn profile_artifacts_are_deterministic() {
     assert_eq!(l1.render(false), l2.render(false));
 }
 
-/// In the local engine's linear profile, every operator's `rows_in`
-/// equals its parent's `rows_out` (the chain invariant the distributed
-/// edge test pins graph-wide). Joins are the exception: their `rows_in`
-/// counts both sides, but only the left side is their chain parent, so
-/// the invariant weakens to `>=` there.
+/// In the local engine's profile, every operator's `rows_in` equals its
+/// producer's `rows_out` (the invariant the distributed edge test pins
+/// graph-wide). Joins are the exception: their `rows_in` counts both
+/// sides, so against either producer the invariant weakens to `>=`.
 #[test]
 fn local_chain_conserves_rows() {
     let db = golden_db();
@@ -196,6 +195,56 @@ fn local_chain_conserves_rows() {
                 }
             }
         }
+    }
+}
+
+/// One interpreter, one profile builder: for every golden query, the
+/// local engine's profile and the distributed profile at parallelism 1
+/// agree on everything but measured sizes and wall time — operator ids,
+/// names, bodies, inputs, row counts and hash-table counters.
+#[test]
+fn local_profile_matches_distributed_at_parallelism_one() {
+    let db = golden_db();
+    for q in [Q_GROUP, Q_JOIN_GROUP, Q_FILTER_TOP] {
+        let (_, local) = db.query_profiled(q).unwrap();
+        let dist = session(1)
+            .sql_distributed(&db, q)
+            .unwrap()
+            .report
+            .profile
+            .unwrap();
+        let shape = |p: &skadi::flowgraph::profile::QueryProfile| -> Vec<_> {
+            p.ops
+                .iter()
+                .map(|o| {
+                    let shards: Vec<_> = o
+                        .shards
+                        .iter()
+                        .map(|s| {
+                            (
+                                s.shard,
+                                s.rows_in,
+                                s.rows_out,
+                                s.selectivity,
+                                s.hash_slots,
+                                s.hash_collisions,
+                                s.groups,
+                                s.rehashes,
+                            )
+                        })
+                        .collect();
+                    (
+                        o.op_id,
+                        o.op.clone(),
+                        o.body.clone(),
+                        o.inputs.clone(),
+                        shards,
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(shape(&local), shape(&dist), "{q:?}");
+        assert_eq!(local.parallelism, 1);
     }
 }
 
