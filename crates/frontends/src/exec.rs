@@ -30,16 +30,16 @@ use skadi_flowgraph::optimize::optimize_graph;
 use skadi_flowgraph::profile::QueryProfile;
 use skadi_ir::BackendPolicy;
 
+use skadi_flowgraph::{ExecAgg, ExecCompare, ExecLiteral};
+
 use crate::catalog::{Catalog, TableDef};
 use crate::shard;
-use crate::sql::ast::{Comparison, Expr, Literal, Query};
+use crate::sql::ast::Query;
 use crate::sql::SqlError;
 use skadi_ir::types::ScalarType;
 
 pub mod parallel;
 pub mod pool;
-
-use pool::PARALLEL_MIN_ROWS;
 
 /// Skew threshold of local query profiles (single-shard operators never
 /// trip it; the field keeps the rendering uniform with distributed runs).
@@ -166,11 +166,11 @@ pub(crate) fn wrap(e: skadi_arrow::error::ArrowError) -> SqlError {
     SqlError::Plan(format!("execution: {e}"))
 }
 
-fn literal_value(lit: &Literal) -> Value {
+fn literal_value(lit: &ExecLiteral) -> Value {
     match lit {
-        Literal::Int(v) => Value::I64(*v),
-        Literal::Float(v) => Value::F64(*v),
-        Literal::Str(s) => Value::Str(s.clone()),
+        ExecLiteral::Int(v) => Value::I64(*v),
+        ExecLiteral::Float(v) => Value::F64(*v),
+        ExecLiteral::Str(s) => Value::Str(s.clone()),
     }
 }
 
@@ -216,45 +216,21 @@ impl KernelStats {
     }
 }
 
-/// Applies a conjunction of comparisons as ONE filter: each conjunct
-/// becomes a boolean mask ([`compute::cmp_scalar`]), the masks fuse with
-/// [`compute::and`] (SQL three-valued logic), and the batch is gathered
-/// once — instead of materializing an intermediate batch per conjunct.
+/// Applies a conjunction of comparisons as ONE filter: the conjuncts
+/// fuse into a single boolean mask ([`parallel::conjunct_mask`]) and the
+/// batch is gathered once — instead of materializing an intermediate
+/// batch per conjunct.
 pub(crate) fn apply_conjuncts(
     batch: &RecordBatch,
-    conjuncts: &[&Comparison],
+    conjuncts: &[ExecCompare],
 ) -> Result<RecordBatch, SqlError> {
-    match conjunct_mask(batch, conjuncts)? {
+    match parallel::conjunct_mask(batch, conjuncts)? {
         Some(m) => {
             let idx = compute::mask_to_indices(&m).map_err(wrap)?;
-            parallel::take_batch(batch, &idx).map_err(wrap)
+            parallel::take_batch(batch, idx).map_err(wrap)
         }
         None => Ok(batch.clone()),
     }
-}
-
-/// Fuses a conjunction into one boolean mask (`None` for an empty
-/// conjunction, meaning "keep everything").
-fn conjunct_mask(
-    batch: &RecordBatch,
-    conjuncts: &[&Comparison],
-) -> Result<Option<Array>, SqlError> {
-    // Multiple conjuncts over a large batch evaluate concurrently; the
-    // branch keys on data size only, so path choice (and the resulting
-    // mask bytes) never depends on thread count.
-    if conjuncts.len() >= 2 && batch.num_rows() >= PARALLEL_MIN_ROWS {
-        return parallel::conjunct_mask(batch, conjuncts);
-    }
-    let mut mask: Option<Array> = None;
-    for c in conjuncts {
-        let col = batch.column_by_name(&c.column).map_err(wrap)?;
-        let m = compute::cmp_scalar(col, cmp_op(&c.op)?, &literal_value(&c.value)).map_err(wrap)?;
-        mask = Some(match mask {
-            Some(prev) => compute::and(&prev, &m).map_err(wrap)?,
-            None => m,
-        });
-    }
-    Ok(mask)
 }
 
 /// Typed key equality for join collision checks. Floats compare by bit
@@ -313,14 +289,8 @@ fn fold_hash(h: u64) -> u64 {
 const EMPTY_SLOT: u32 = u32::MAX;
 
 /// Hash equi-join (inner). Right-side key column is dropped from the
-/// output; other right columns are appended.
-///
-/// Keys are bucketed by their raw-byte FNV-1a hash
-/// ([`compute::hash_key_column`]) with a typed equality check on each
-/// candidate — no per-row key rendering. The build side is a chained
-/// bucket table (`head` + `next` arrays) addressed directly by the key
-/// hash: zero allocations per bucket and no re-hashing of the `u64`.
-/// Null keys match nothing.
+/// output; other right columns are appended. Rows pair up in probe
+/// order; null keys match nothing (see [`parallel::join_rows`]).
 pub fn hash_join(
     left: &RecordBatch,
     right: &RecordBatch,
@@ -328,82 +298,9 @@ pub fn hash_join(
     right_key: &str,
 ) -> Result<RecordBatch, SqlError> {
     let mut stats = KernelStats::default();
-    let (left_rows, right_rows) = join_rows(left, right, left_key, right_key, &mut stats)?;
-    assemble_join(left, right, right_key, &left_rows, &right_rows)
-}
-
-/// The join core: produces matching `(left_row, right_row)` index pairs
-/// in probe order. Build-table capacity and failed chain visits
-/// accumulate into `stats`.
-pub(crate) fn join_rows(
-    left: &RecordBatch,
-    right: &RecordBatch,
-    left_key: &str,
-    right_key: &str,
-    stats: &mut KernelStats,
-) -> Result<(Vec<usize>, Vec<usize>), SqlError> {
-    let lk = left.schema().index_of(left_key).map_err(wrap)?;
-    let rk = right.schema().index_of(right_key).map_err(wrap)?;
-    let lcol = left.column(lk);
-    let rcol = right.column(rk);
-
-    // A mixed Int64/Float64 key pair hashes the integer side through its
-    // f64 bit pattern so numerically-equal keys share a bucket.
-    let mixed = matches!(
-        (lcol.data_type(), rcol.data_type()),
-        (DataType::Int64, DataType::Float64) | (DataType::Float64, DataType::Int64)
-    );
-
-    // Large joins take the partitioned parallel path. The threshold is
-    // data-dependent only, so which kernel runs — and every stat it
-    // reports — is identical at every thread count.
-    if left.num_rows().max(right.num_rows()) >= PARALLEL_MIN_ROWS {
-        return Ok(parallel::join_rows_partitioned(lcol, rcol, mixed, stats));
-    }
-
-    let lh = compute::hash_key_column(lcol, mixed);
-    let rh = compute::hash_key_column(rcol, mixed);
-
-    // Build side: bucket -> chain of right rows. Inserting in reverse
-    // row order leaves every chain sorted ascending, so matches emit in
-    // (probe row, build row) order.
-    let cap = (right.num_rows() * 2).next_power_of_two().max(16);
-    stats.hash_slots += cap as u64;
-    let mask = cap as u64 - 1;
-    let mut head = vec![EMPTY_SLOT; cap];
-    let mut next = vec![EMPTY_SLOT; right.num_rows()];
-    let r_validity = rcol.validity();
-    for r in (0..right.num_rows()).rev() {
-        if r_validity.is_some_and(|v| !v.get(r)) {
-            continue;
-        }
-        let b = (fold_hash(rh[r]) & mask) as usize;
-        next[r] = head[b];
-        head[b] = r as u32;
-    }
-
-    let mut left_rows: Vec<usize> = Vec::new();
-    let mut right_rows: Vec<usize> = Vec::new();
-    let mut collisions = 0u64;
-    let l_validity = lcol.validity();
-    for (l, &h) in lh.iter().enumerate() {
-        if l_validity.is_some_and(|v| !v.get(l)) {
-            continue;
-        }
-        let mut r = head[(fold_hash(h) & mask) as usize];
-        while r != EMPTY_SLOT {
-            let ri = r as usize;
-            if rh[ri] == h && join_key_eq(lcol, l, rcol, ri) {
-                left_rows.push(l);
-                right_rows.push(ri);
-            } else {
-                collisions += 1;
-            }
-            r = next[ri];
-        }
-    }
-    stats.hash_collisions += collisions;
-    Ok((left_rows, right_rows))
+    let (left_rows, right_rows) =
+        parallel::join_rows(left, right, left_key, right_key, &mut stats)?;
+    assemble_join(left, right, right_key, left_rows, right_rows)
 }
 
 /// Gathers matched pairs into the join's output batch: all left columns,
@@ -412,8 +309,8 @@ pub(crate) fn assemble_join(
     left: &RecordBatch,
     right: &RecordBatch,
     right_key: &str,
-    left_rows: &[usize],
-    right_rows: &[usize],
+    left_rows: Vec<usize>,
+    right_rows: Vec<usize>,
 ) -> Result<RecordBatch, SqlError> {
     let rk = right.schema().index_of(right_key).map_err(wrap)?;
     let mut fields: Vec<Field> = left.schema().fields().to_vec();
@@ -477,7 +374,8 @@ impl AggKind {
     }
 }
 
-fn resolve_agg(func: &str, column: &str, input: &RecordBatch) -> Result<AggKind, SqlError> {
+fn resolve_agg(agg: &ExecAgg, input: &RecordBatch) -> Result<AggKind, SqlError> {
+    let (func, column) = (agg.func.as_str(), agg.column.as_str());
     if func == "count" {
         if column == "*" {
             return Ok(AggKind::CountStar);
@@ -500,144 +398,11 @@ fn resolve_agg(func: &str, column: &str, input: &RecordBatch) -> Result<AggKind,
     })
 }
 
-/// Streaming per-group fold over an `Int64` column: one pass in row
-/// order, `Option<i64>` per group (groups with no non-null value stay
-/// null).
-fn fold_groups_i64(
-    col: &Array,
-    row_group: &[u32],
-    num_groups: usize,
-    identity: i64,
-    op: fn(i64, i64) -> i64,
-) -> Array {
-    let a = col.as_i64().expect("resolved as Int64");
-    let validity = a.validity();
-    let mut acc: Vec<Option<i64>> = vec![None; num_groups];
-    for (r, v) in a.iter_raw().enumerate() {
-        if validity.is_some_and(|m| !m.get(r)) {
-            continue;
-        }
-        let g = row_group[r] as usize;
-        acc[g] = Some(op(acc[g].unwrap_or(identity), v));
-    }
-    Array::from_opt_i64(acc)
-}
-
-/// Streaming per-group fold over a `Float64` column. Folding from the
-/// identity (`0.0` / `±INFINITY`) in row order reproduces the old
-/// engine's `Vec<f64>`-per-group results bit-for-bit.
-fn fold_groups_f64(
-    col: &Array,
-    row_group: &[u32],
-    num_groups: usize,
-    identity: f64,
-    op: fn(f64, f64) -> f64,
-) -> Array {
-    let a = col.as_f64().expect("resolved as Float64");
-    let validity = a.validity();
-    let mut acc: Vec<Option<f64>> = vec![None; num_groups];
-    for (r, v) in a.iter_raw().enumerate() {
-        if validity.is_some_and(|m| !m.get(r)) {
-            continue;
-        }
-        let g = row_group[r] as usize;
-        acc[g] = Some(op(acc[g].unwrap_or(identity), v));
-    }
-    Array::from_opt_f64(acc)
-}
-
-/// Runs one aggregate over the whole input in a single column-at-a-time
-/// pass, given each row's group id. No per-group `Vec<f64>` staging.
-fn accumulate(
-    kind: &AggKind,
-    input: &RecordBatch,
-    row_group: &[u32],
-    group_sizes: &[i64],
-) -> Array {
-    let ng = group_sizes.len();
-    match *kind {
-        AggKind::CountStar => Array::from_i64(group_sizes.to_vec()),
-        AggKind::Count(c) => {
-            let validity = input.column(c).validity();
-            let mut counts = vec![0i64; ng];
-            for (r, &g) in row_group.iter().enumerate() {
-                if validity.is_none_or(|v| v.get(r)) {
-                    counts[g as usize] += 1;
-                }
-            }
-            Array::from_i64(counts)
-        }
-        AggKind::SumI64(c) => fold_groups_i64(input.column(c), row_group, ng, 0, i64::wrapping_add),
-        AggKind::MinI64(c) => fold_groups_i64(input.column(c), row_group, ng, i64::MAX, i64::min),
-        AggKind::MaxI64(c) => fold_groups_i64(input.column(c), row_group, ng, i64::MIN, i64::max),
-        AggKind::SumF64(c) => fold_groups_f64(input.column(c), row_group, ng, 0.0, |a, b| a + b),
-        AggKind::MinF64(c) => {
-            fold_groups_f64(input.column(c), row_group, ng, f64::INFINITY, f64::min)
-        }
-        AggKind::MaxF64(c) => {
-            fold_groups_f64(input.column(c), row_group, ng, f64::NEG_INFINITY, f64::max)
-        }
-        AggKind::Avg(c) => {
-            let mut sums = vec![0f64; ng];
-            let mut counts = vec![0i64; ng];
-            match input.column(c) {
-                Array::Int64(a) => {
-                    let validity = a.validity();
-                    for (r, v) in a.iter_raw().enumerate() {
-                        if validity.is_some_and(|m| !m.get(r)) {
-                            continue;
-                        }
-                        sums[row_group[r] as usize] += v as f64;
-                        counts[row_group[r] as usize] += 1;
-                    }
-                }
-                Array::Float64(a) => {
-                    let validity = a.validity();
-                    for (r, v) in a.iter_raw().enumerate() {
-                        if validity.is_some_and(|m| !m.get(r)) {
-                            continue;
-                        }
-                        sums[row_group[r] as usize] += v;
-                        counts[row_group[r] as usize] += 1;
-                    }
-                }
-                _ => unreachable!("avg resolved only for numeric columns"),
-            }
-            Array::from_opt_f64(
-                (0..ng)
-                    .map(|g| (counts[g] > 0).then(|| sums[g] / counts[g] as f64))
-                    .collect(),
-            )
-        }
-        AggKind::NonNumeric => Array::from_opt_f64(vec![None; ng]),
-    }
-}
-
-/// Grouped aggregation, keyed on raw-byte row hashes.
-///
-/// Rows get dense group ids from a `u64`-hash table with typed
-/// collision-checked key equality; aggregates then run as single-pass
-/// streaming accumulators ([`accumulate`]). A global aggregate (no
-/// GROUP BY) always yields exactly one group — even over an empty
-/// input, so `count(*)` of nothing is one row holding `0`. Output group
-/// order replicates the old engine's `BTreeMap` order by rendering ONE
-/// key string per *group* (not per row) and sorting.
+/// Grouped aggregation of `input` by the query's GROUP BY, computing
+/// its SELECT-list aggregates (see [`parallel::aggregate`]).
 pub fn aggregate(q: &Query, input: &RecordBatch) -> Result<RecordBatch, SqlError> {
-    let aggs: Vec<(String, String, String)> = q
-        .select
-        .iter()
-        .filter_map(|item| match &item.expr {
-            Expr::Agg { func, column } => Some((
-                func.clone(),
-                column.clone(),
-                item.alias
-                    .clone()
-                    .unwrap_or_else(|| format!("{func}({column})")),
-            )),
-            Expr::Column(_) => None,
-        })
-        .collect();
-    Ok(aggregate_spec(&q.group_by, &aggs, input, &mut KernelStats::default())?.batch)
+    let aggs = crate::sql::planner::exec_aggs(q);
+    Ok(parallel::aggregate(&q.group_by, &aggs, input, &mut KernelStats::default())?.batch)
 }
 
 /// An aggregation's output, with per-output-row detail for shard
@@ -651,110 +416,6 @@ pub(crate) struct Aggregated {
     /// The first input row of each row's group (row 0 for a global
     /// aggregate, even over an empty input).
     pub(crate) first_rows: Vec<usize>,
-}
-
-/// The aggregation core, independent of the SQL AST: `aggs` is
-/// `(func, column, output_name)` triples. Shard execution drives this
-/// directly from [`ExecOp::Aggregate`] descriptors. Group-table capacity,
-/// linear-probe steps, and the group count accumulate into `stats`.
-///
-/// [`ExecOp::Aggregate`]: skadi_flowgraph::ExecOp::Aggregate
-pub(crate) fn aggregate_spec(
-    group_by: &[String],
-    aggs: &[(String, String, String)],
-    input: &RecordBatch,
-    stats: &mut KernelStats,
-) -> Result<Aggregated, SqlError> {
-    let group_cols: Vec<usize> = group_by
-        .iter()
-        .map(|g| input.schema().index_of(g).map_err(wrap))
-        .collect::<Result<_, _>>()?;
-    let nrows = input.num_rows();
-
-    // Large grouped aggregations take the partitioned parallel path
-    // (byte-identical output; the threshold is data-dependent only).
-    // Global aggregates stay serial — one group, nothing to partition.
-    if !group_cols.is_empty() && nrows >= PARALLEL_MIN_ROWS {
-        return parallel::aggregate_partitioned(&group_cols, aggs, input, stats);
-    }
-
-    // Assign each row a dense group id.
-    let mut row_group: Vec<u32> = Vec::with_capacity(nrows);
-    let mut rep_rows: Vec<usize> = Vec::new(); // first row seen per group
-    let mut group_sizes: Vec<i64> = Vec::new();
-    if group_cols.is_empty() {
-        row_group.resize(nrows, 0);
-        rep_rows.push(0);
-        group_sizes.push(nrows as i64);
-    } else {
-        let hashes = compute::hash_rows(input, &group_cols);
-        // Linear-probing table of group ids, addressed by the row hash,
-        // preallocated from the exact row count (so it never rehashes).
-        let mut table = parallel::GroupTable::with_capacity_hint(nrows);
-        stats.hash_slots += table.capacity() as u64;
-        let mut collisions = 0u64;
-        for (r, &h) in hashes.iter().enumerate() {
-            let (g, inserted) = table.find_or_insert(
-                h,
-                |g| group_key_eq(input, &group_cols, rep_rows[g as usize], r),
-                &mut collisions,
-            );
-            if inserted {
-                rep_rows.push(r);
-                group_sizes.push(1);
-            } else {
-                group_sizes[g as usize] += 1;
-            }
-            row_group.push(g);
-        }
-        stats.hash_collisions += collisions;
-        stats.rehashes += table.rehashes;
-    }
-    let ng = group_sizes.len();
-    stats.groups += ng as u64;
-
-    // Output order: groups sort by their rendered key, one string per
-    // group (not per row). A stable sort keeps first-appearance order
-    // among equal renderings.
-    let mut keys: Vec<String> = rep_rows
-        .iter()
-        .map(|&r| {
-            group_cols
-                .iter()
-                .map(|&c| input.column(c).value_at(r).to_string())
-                .collect::<Vec<_>>()
-                .join("\u{1}")
-        })
-        .collect();
-    let mut order: Vec<u32> = (0..ng as u32).collect();
-    order.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
-
-    // Output schema: group columns then one column per aggregate item.
-    let mut fields: Vec<Field> = group_cols
-        .iter()
-        .map(|&c| input.schema().field(c).clone())
-        .collect();
-    let mut kinds: Vec<AggKind> = Vec::new();
-    for (func, column, name) in aggs {
-        let kind = resolve_agg(func, column, input)?;
-        fields.push(Field::new(name.clone(), kind.data_type(), true));
-        kinds.push(kind);
-    }
-
-    let ordered_reps: Vec<usize> = order.iter().map(|&g| rep_rows[g as usize]).collect();
-    let perm: Vec<usize> = order.iter().map(|&g| g as usize).collect();
-    let mut columns: Vec<Array> = group_cols
-        .iter()
-        .map(|&c| input.column(c).take_rows(&ordered_reps))
-        .collect();
-    for kind in &kinds {
-        columns.push(accumulate(kind, input, &row_group, &group_sizes).take_rows(&perm));
-    }
-    Ok(Aggregated {
-        batch: RecordBatch::try_new(Schema::new(fields), columns).map_err(wrap)?,
-        keys: perm.iter().map(|&g| std::mem::take(&mut keys[g])).collect(),
-        first_rows: ordered_reps,
-    })
 }
 
 /// Stably sorts by one column (via the shared sort keys; NULLs sort
@@ -775,18 +436,8 @@ pub(crate) fn sort_by(
     if keys.is_sorted(order) {
         return Ok(batch.clone());
     }
-    // Large sorts run morsel-parallel: the merge's total order makes the
-    // permutation identical to the serial stable sort.
-    if batch.num_rows() >= PARALLEL_MIN_ROWS {
-        let perm = parallel::sort_permutation(keys, order);
-        return parallel::take_batch(batch, &perm).map_err(wrap);
-    }
-    let perm: Vec<usize> = keys
-        .sort_range(order, 0, batch.num_rows() as u32)
-        .into_iter()
-        .map(|i| i as usize)
-        .collect();
-    compute::take_indices(batch, &perm).map_err(wrap)
+    let perm = parallel::sort_permutation(keys, order);
+    parallel::take_batch(batch, perm).map_err(wrap)
 }
 
 #[cfg(test)]

@@ -1,55 +1,86 @@
-//! Morsel-driven parallel kernels: partitioned hash join, partitioned
-//! group-by, parallel sort, parallel filter masks and gathers.
+//! The kernels: hash join, group-by, sort, filter masks and gathers —
+//! morsel-driven and hash-partitioned, one implementation per operator.
 //!
-//! Every kernel here is a drop-in replacement for its single-threaded
-//! sibling in [`super`] (the `exec` module) with one invariant: **thread
-//! count never changes output bytes**. The algorithms get that for free
-//! by deriving all structure from the data alone —
+//! Every kernel derives all of its structure from the data alone, so
+//! **thread count never changes output bytes**:
 //!
 //! * morsel boundaries come from [`pool::morsels`] (fixed row ranges);
-//! * join and group-by inputs split into [`PARTITIONS`] partitions by the
-//!   *top* bits of the folded key hash (tables bucket by the *low* bits,
-//!   so partitioning preserves bucket entropy);
+//! * joins and group-bys split into [`pool::partitions`] hash partitions
+//!   by the *top* bits of the folded key hash (tables bucket by the *low*
+//!   bits, so partitioning preserves bucket entropy);
 //! * per-partition tables size themselves from exact partition row
 //!   counts, so they never rehash ([`GroupTable::rehashes`] proves it);
 //! * merges are deterministic: join morsel outputs concatenate in morsel
-//!   order (reproducing serial probe order), group partitions merge by
-//!   sorting `(rendered key, representative row)` (reproducing the serial
-//!   stable sort with first-appearance ties), and sorted runs merge under
-//!   a total order (key, then row index).
+//!   order (the probe order), group partitions merge by sorting
+//!   `(rendered key, representative row)` (rendered-key order with
+//!   first-appearance ties), and sorted runs merge under a total order
+//!   (key, then row index).
 //!
-//! Since every true join match shares the full key hash, matches land in
-//! the probe row's own partition and per-partition chains ascend in
-//! global row order — the concatenated morsel outputs are exactly the
-//! serial pair sequence. Likewise every group lives wholly inside one
-//! partition, so per-group fold order equals global row order and float
-//! accumulations stay bit-identical.
+//! Below the pool's size threshold a kernel runs as one partition and
+//! one morsel, which is the plain serial algorithm, inline on the caller
+//! ([`pool::ExecPool::run_indexed`] runs a single item inline). Above it
+//! the output is the same: every true join match shares the full key
+//! hash, so matches land in the probe row's own partition and
+//! per-partition chains ascend in global row order — the concatenated
+//! morsel outputs are exactly one partition's pair sequence. Likewise
+//! every group lives wholly inside one partition, so per-group fold
+//! order equals global row order and float accumulations are
+//! bit-identical at every partition count.
 
 use std::sync::Arc;
 
-use skadi_arrow::array::{Array, Value};
+use skadi_arrow::array::Array;
 use skadi_arrow::batch::RecordBatch;
-use skadi_arrow::compute::{self, CmpOp, SortOrder};
+use skadi_arrow::buffer::Bitmap;
+use skadi_arrow::compute::{self, SortOrder};
 use skadi_arrow::datatype::DataType;
 use skadi_arrow::error::ArrowError;
 use skadi_arrow::schema::{Field, Schema};
+use skadi_flowgraph::{ExecAgg, ExecCompare};
 
-use super::pool::{self, morsels, PARALLEL_MIN_ROWS};
+use super::pool::{self, morsels};
 use super::{
     fold_hash, group_key_eq, join_key_eq, resolve_agg, wrap, AggKind, Aggregated, KernelStats,
     EMPTY_SLOT,
 };
-use crate::sql::ast::Comparison;
 use crate::sql::SqlError;
 
-/// Hash partitions for the partitioned join and group-by. Fixed (never
-/// derived from thread count); selected by the top `log2(PARTITIONS)`
-/// bits of the folded hash.
-pub const PARTITIONS: usize = 8;
-
+/// The partition of hash `h` among `parts` (a power of two): the top
+/// `log2(parts)` bits of the folded hash, so always 0 for one partition.
 #[inline]
-fn partition_of(h: u64) -> usize {
-    (fold_hash(h) >> 61) as usize
+fn partition_of(h: u64, parts: usize) -> usize {
+    fold_hash(h)
+        .checked_shr(64 - parts.trailing_zeros())
+        .unwrap_or(0) as usize
+}
+
+/// Splits rows `0..hashes.len()` into `parts` partitions by
+/// [`partition_of`], morsel by morsel; concatenating the morsel outputs
+/// keeps each partition's rows ascending. Rows `nulls` marks invalid are
+/// left out.
+fn partition_rows(hashes: &Arc<Vec<u64>>, nulls: Option<Bitmap>, parts: usize) -> Vec<Vec<u32>> {
+    let ranges = morsels(hashes.len());
+    let h = Arc::clone(hashes);
+    let mut chunks = pool::global()
+        .run_indexed(ranges.len(), move |m| {
+            let (lo, hi) = ranges[m];
+            let mut out = vec![Vec::with_capacity((hi - lo) / parts); parts];
+            for r in lo..hi {
+                if nulls.as_ref().is_some_and(|v| !v.get(r)) {
+                    continue;
+                }
+                out[partition_of(h[r], parts)].push(r as u32);
+            }
+            out
+        })
+        .into_iter();
+    let mut part_rows = chunks.next().expect("at least one morsel");
+    for chunk in chunks {
+        for (p, rows) in chunk.into_iter().enumerate() {
+            part_rows[p].extend(rows);
+        }
+    }
+    part_rows
 }
 
 /// A linear-probing hash table assigning dense group ids, preallocated
@@ -81,8 +112,8 @@ impl GroupTable {
     /// Looks up the group for hash `h`, inserting a fresh id when no
     /// existing group matches. `eq(g)` answers whether group `g`'s key
     /// equals the probed row's; every visit to an occupied non-matching
-    /// slot increments `collisions` (hash compared before `eq`, exactly
-    /// like the serial kernel). Returns `(group_id, inserted)`.
+    /// slot increments `collisions` (the hash is compared before `eq`
+    /// runs). Returns `(group_id, inserted)`.
     pub(crate) fn find_or_insert(
         &mut self,
         h: u64,
@@ -127,15 +158,16 @@ impl GroupTable {
     }
 }
 
-/// Parallel [`super::conjunct_mask`]: each conjunct's comparison mask is
-/// an independent column scan, so they evaluate concurrently; the `AND`
-/// combine runs serially in conjunct order (as do column/operator
-/// resolution errors, preserving serial error precedence).
+/// Fuses a conjunction into one boolean mask (`None` for an empty
+/// conjunction, meaning "keep everything"). Each conjunct's comparison
+/// mask ([`compute::cmp_scalar`]) is an independent column scan, so on
+/// large batches they evaluate concurrently; the masks then combine with
+/// [`compute::and`] (SQL three-valued logic) in conjunct order.
 pub(crate) fn conjunct_mask(
     batch: &RecordBatch,
-    conjuncts: &[&Comparison],
+    conjuncts: &[ExecCompare],
 ) -> Result<Option<Array>, SqlError> {
-    let mut jobs: Vec<(Array, CmpOp, Value)> = Vec::with_capacity(conjuncts.len());
+    let mut jobs = Vec::with_capacity(conjuncts.len());
     for c in conjuncts {
         jobs.push((
             batch.column_by_name(&c.column).map_err(wrap)?.clone(),
@@ -143,10 +175,10 @@ pub(crate) fn conjunct_mask(
             super::literal_value(&c.value),
         ));
     }
+    let n = jobs.len();
     let jobs = Arc::new(jobs);
-    let jobs2 = Arc::clone(&jobs);
-    let masks = pool::global().run_indexed(jobs.len(), move |i| {
-        let (col, op, v) = &jobs2[i];
+    let masks = pool::run_sized(batch.num_rows(), n, move |i| {
+        let (col, op, v) = &jobs[i];
         compute::cmp_scalar(col, *op, v)
     });
     let mut mask: Option<Array> = None;
@@ -160,169 +192,134 @@ pub(crate) fn conjunct_mask(
     Ok(mask)
 }
 
-/// [`compute::take_indices`] with the per-column gathers spread across
-/// the pool. Small gathers (or single-column batches) stay inline.
+/// [`compute::take_indices`], one gather job per column; large gathers
+/// spread the columns across the pool.
 pub(crate) fn take_batch(
     batch: &RecordBatch,
-    indices: &[usize],
+    indices: Vec<usize>,
 ) -> Result<RecordBatch, ArrowError> {
-    let pool = pool::global();
-    if pool.threads() == 1 || indices.len() < PARALLEL_MIN_ROWS || batch.num_columns() < 2 {
-        return compute::take_indices(batch, indices);
-    }
-    for &i in indices {
-        if i >= batch.num_rows() {
-            return Err(ArrowError::IndexOutOfBounds {
-                index: i,
-                len: batch.num_rows(),
-            });
-        }
+    if let Some(&i) = indices.iter().find(|&&i| i >= batch.num_rows()) {
+        return Err(ArrowError::IndexOutOfBounds {
+            index: i,
+            len: batch.num_rows(),
+        });
     }
     let cols: Arc<Vec<Array>> = Arc::new(batch.columns().to_vec());
-    let idx: Arc<Vec<usize>> = Arc::new(indices.to_vec());
-    let ncols = cols.len();
-    let gathered = pool.run_indexed(ncols, move |c| cols[c].take_rows(&idx));
+    let (rows, ncols) = (indices.len(), cols.len());
+    let idx = Arc::new(indices);
+    let gathered = pool::run_sized(rows, ncols, move |c| cols[c].take_rows(&idx));
     RecordBatch::try_new(batch.schema().clone(), gathered)
 }
 
-/// Gathers join output columns (all left columns by `left_rows`, the
-/// selected right columns by `right_rows`), one pool job per column when
-/// the match set is large.
+/// Gathers join output columns: all left columns by `left_rows`, then
+/// the selected right columns by `right_rows`, one job per column.
 pub(crate) fn gather_join_columns(
     left: &RecordBatch,
     right: &RecordBatch,
     right_cols: &[usize],
-    left_rows: &[usize],
-    right_rows: &[usize],
+    left_rows: Vec<usize>,
+    right_rows: Vec<usize>,
 ) -> Vec<Array> {
-    let pool = pool::global();
-    let ncols = left.num_columns() + right_cols.len();
-    if pool.threads() == 1 || left_rows.len() < PARALLEL_MIN_ROWS || ncols < 2 {
-        let mut columns = Vec::with_capacity(ncols);
-        for c in 0..left.num_columns() {
-            columns.push(left.column(c).take_rows(left_rows));
-        }
-        for &c in right_cols {
-            columns.push(right.column(c).take_rows(right_rows));
-        }
-        return columns;
-    }
-    let jobs: Arc<Vec<(Array, bool)>> = Arc::new(
-        (0..left.num_columns())
-            .map(|c| (left.column(c).clone(), true))
-            .chain(right_cols.iter().map(|&c| (right.column(c).clone(), false)))
-            .collect(),
-    );
-    let lr: Arc<Vec<usize>> = Arc::new(left_rows.to_vec());
-    let rr: Arc<Vec<usize>> = Arc::new(right_rows.to_vec());
-    let jobs2 = Arc::clone(&jobs);
-    pool.run_indexed(jobs.len(), move |i| {
-        let (col, is_left) = &jobs2[i];
+    let jobs: Vec<(Array, bool)> = left
+        .columns()
+        .iter()
+        .map(|c| (c.clone(), true))
+        .chain(right_cols.iter().map(|&c| (right.column(c).clone(), false)))
+        .collect();
+    let (rows, ncols) = (left_rows.len(), jobs.len());
+    let (lr, rr) = (Arc::new(left_rows), Arc::new(right_rows));
+    pool::run_sized(rows, ncols, move |i| {
+        let (col, is_left) = &jobs[i];
         col.take_rows(if *is_left { &lr } else { &rr })
     })
 }
 
-/// One partition's build side: a chained bucket table over the partition's
-/// right rows (`rows` maps chain-local index back to the global row).
+/// One partition's build side: a chained bucket table whose links index
+/// the partition's row list.
 struct BuildPart {
     head: Vec<u32>,
     next: Vec<u32>,
-    rows: Vec<u32>,
     cap: usize,
 }
 
-/// Partitioned hash join core: same `(left_row, right_row)` pair sequence
-/// as [`super::join_rows`], produced by a parallel partition/build/probe.
+/// The hash equi-join core: the matching `(left_row, right_row)` pairs in
+/// probe order, each probe row's matches in ascending build row order.
+/// Null keys match nothing. Build-table capacity and failed chain visits
+/// accumulate into `stats`.
 ///
-/// Build rows partition morsel-parallel by hash prefix (concatenating
-/// morsel outputs keeps each partition's row list ascending); each
-/// partition builds its own chained table sized from its exact row count,
-/// inserting in reverse so chains ascend; probe morsels walk the chains
-/// and their outputs concatenate in morsel order — the serial probe order.
-pub(crate) fn join_rows_partitioned(
-    lcol: &Array,
-    rcol: &Array,
-    mixed: bool,
+/// Keys bucket by their raw-byte FNV-1a hash
+/// ([`compute::hash_key_column`]) with a typed equality check on each
+/// candidate ([`join_key_eq`]) — no per-row key rendering. Build rows
+/// partition by hash prefix; each partition builds a chained table
+/// (`head` + `next` arrays, zero allocations per bucket) sized from its
+/// exact row count, inserting in reverse so chains ascend; probe morsels
+/// walk the chains and their outputs concatenate in morsel order.
+pub(crate) fn join_rows(
+    left: &RecordBatch,
+    right: &RecordBatch,
+    left_key: &str,
+    right_key: &str,
     stats: &mut KernelStats,
-) -> (Vec<usize>, Vec<usize>) {
-    let pool = pool::global();
-    let rh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(rcol, mixed));
-    let lh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(lcol, mixed));
+) -> Result<(Vec<usize>, Vec<usize>), SqlError> {
+    let lcol = left
+        .column(left.schema().index_of(left_key).map_err(wrap)?)
+        .clone();
+    let rcol = right
+        .column(right.schema().index_of(right_key).map_err(wrap)?)
+        .clone();
+    // A mixed Int64/Float64 key pair hashes the integer side through its
+    // f64 bit pattern so numerically-equal keys share a bucket.
+    let mixed = matches!(
+        (lcol.data_type(), rcol.data_type()),
+        (DataType::Int64, DataType::Float64) | (DataType::Float64, DataType::Int64)
+    );
+    let parts = pool::partitions(left.num_rows().max(right.num_rows()));
+    let rh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(&rcol, mixed));
+    let lh: Arc<Vec<u64>> = Arc::new(compute::hash_key_column(&lcol, mixed));
+    let part_rows = Arc::new(partition_rows(&rh, rcol.validity().cloned(), parts));
 
-    // Partition the build rows by hash prefix.
-    let ranges = morsels(rh.len());
-    let ranges2 = ranges.clone();
-    let rcol2 = rcol.clone();
-    let rh2 = Arc::clone(&rh);
-    let chunks = pool.run_indexed(ranges.len(), move |m| {
-        let (lo, hi) = ranges2[m];
-        let mut out: [Vec<u32>; PARTITIONS] = Default::default();
-        let validity = rcol2.validity();
-        for r in lo..hi {
-            if validity.is_some_and(|v| !v.get(r)) {
-                continue;
-            }
-            out[partition_of(rh2[r])].push(r as u32);
-        }
-        out
-    });
-    let mut part_rows: Vec<Vec<u32>> = vec![Vec::new(); PARTITIONS];
-    for chunk in chunks {
-        for (p, rows) in chunk.into_iter().enumerate() {
-            part_rows[p].extend(rows);
-        }
-    }
-
-    // Build each partition's chained table.
-    let part_rows = Arc::new(part_rows);
-    let pr2 = Arc::clone(&part_rows);
-    let rh3 = Arc::clone(&rh);
-    let tables: Arc<Vec<BuildPart>> = Arc::new(pool.run_indexed(PARTITIONS, move |p| {
-        let rows = &pr2[p];
-        let cap = (rows.len() * 2).next_power_of_two().max(16);
+    // A single table is sized from every build row, null keys included,
+    // so a small join's `hash_slots` and `hash_collisions` in profiles
+    // follow the whole build side.
+    let all_rows = (parts == 1).then_some(rh.len());
+    let (pr, rh2) = (Arc::clone(&part_rows), Arc::clone(&rh));
+    let tables: Arc<Vec<BuildPart>> = Arc::new(pool::global().run_indexed(parts, move |p| {
+        let rows = &pr[p];
+        let cap = (all_rows.unwrap_or(rows.len()) * 2)
+            .next_power_of_two()
+            .max(16);
         let mask = cap as u64 - 1;
         let mut head = vec![EMPTY_SLOT; cap];
         let mut next = vec![EMPTY_SLOT; rows.len()];
         for (li, &r) in rows.iter().enumerate().rev() {
-            let b = (fold_hash(rh3[r as usize]) & mask) as usize;
+            let b = (fold_hash(rh2[r as usize]) & mask) as usize;
             next[li] = head[b];
             head[b] = li as u32;
         }
-        BuildPart {
-            head,
-            next,
-            rows: rows.clone(),
-            cap,
-        }
+        BuildPart { head, next, cap }
     }));
     stats.hash_slots += tables.iter().map(|t| t.cap as u64).sum::<u64>();
 
-    // Probe, morsel-parallel over the probe sequence.
+    // Probe, morsel by morsel over the probe sequence.
     let ranges = morsels(lh.len());
-    let ranges2 = ranges.clone();
-    let lcol2 = lcol.clone();
-    let rcol2 = rcol.clone();
-    let lh2 = Arc::clone(&lh);
-    let rh4 = Arc::clone(&rh);
-    let tables2 = Arc::clone(&tables);
-    let chunks = pool.run_indexed(ranges.len(), move |m| {
-        let (lo, hi) = ranges2[m];
+    let chunks = pool::global().run_indexed(ranges.len(), move |m| {
+        let (lo, hi) = ranges[m];
         let mut lrows: Vec<usize> = Vec::new();
         let mut rrows: Vec<usize> = Vec::new();
         let mut collisions = 0u64;
-        let l_validity = lcol2.validity();
+        let l_validity = lcol.validity();
         for l in lo..hi {
             if l_validity.is_some_and(|v| !v.get(l)) {
                 continue;
             }
-            let h = lh2[l];
-            let t = &tables2[partition_of(h)];
-            let mask = t.cap as u64 - 1;
-            let mut slot = t.head[(fold_hash(h) & mask) as usize];
+            let h = lh[l];
+            let p = partition_of(h, parts);
+            let (t, rows) = (&tables[p], &part_rows[p]);
+            let mut slot = t.head[(fold_hash(h) & (t.cap as u64 - 1)) as usize];
             while slot != EMPTY_SLOT {
                 let li = slot as usize;
-                let ri = t.rows[li] as usize;
-                if rh4[ri] == h && join_key_eq(&lcol2, l, &rcol2, ri) {
+                let ri = rows[li] as usize;
+                if rh[ri] == h && join_key_eq(&lcol, l, &rcol, ri) {
                     lrows.push(l);
                     rrows.push(ri);
                 } else {
@@ -333,21 +330,22 @@ pub(crate) fn join_rows_partitioned(
         }
         (lrows, rrows, collisions)
     });
-    let mut left_rows: Vec<usize> = Vec::new();
-    let mut right_rows: Vec<usize> = Vec::new();
+    let mut chunks = chunks.into_iter();
+    let (mut left_rows, mut right_rows, c) = chunks.next().expect("at least one morsel");
+    stats.hash_collisions += c;
     for (lr, rr, c) in chunks {
         left_rows.extend(lr);
         right_rows.extend(rr);
         stats.hash_collisions += c;
     }
-    (left_rows, right_rows)
+    Ok((left_rows, right_rows))
 }
 
 /// One partition's aggregation result, pre-merge.
 struct PartAgg {
     /// First row seen per group (global row ids, ascending in group id).
     rep_rows: Vec<usize>,
-    /// Rendered group key per group (the serial engine's ordering key).
+    /// Rendered group key per group (the output ordering key).
     keys: Vec<String>,
     /// One accumulated column per aggregate, `groups` rows each.
     agg_cols: Vec<Array>,
@@ -356,21 +354,33 @@ struct PartAgg {
     rehashes: u64,
 }
 
-/// Partitioned group-by: byte-identical to the serial
-/// [`super::aggregate_spec`] on the same input. Rows partition by hash
-/// prefix; each partition groups and accumulates independently (fold
-/// order inside a partition is global row order, so float sums match
-/// bit-for-bit); the merge sorts all groups by `(rendered key,
-/// representative row)` — the serial output order.
-pub(crate) fn aggregate_partitioned(
-    group_cols: &[usize],
-    aggs: &[(String, String, String)],
+/// Grouped or global aggregation over `input`, with `aggs` as the
+/// plan's own descriptors. Group-table capacity, linear-probe steps,
+/// growth events and the group count accumulate into `stats`.
+///
+/// Rows get dense group ids from a `u64`-hash table
+/// ([`compute::hash_rows`]) with typed collision-checked key equality;
+/// aggregates then run as single-pass streaming accumulators. Rows
+/// partition by hash prefix and each partition groups and accumulates
+/// independently; the merge sorts all groups by `(rendered key,
+/// representative row)`. Output order is therefore the rendered-key
+/// order (one key string per *group*, not per row), ties in order of
+/// first appearance.
+///
+/// A global aggregate (no GROUP BY) is one group — even over an empty
+/// input, so `count(*)` of nothing is one row holding `0` — and needs no
+/// hashing and no table.
+pub(crate) fn aggregate(
+    group_by: &[String],
+    aggs: &[ExecAgg],
     input: &RecordBatch,
     stats: &mut KernelStats,
 ) -> Result<Aggregated, SqlError> {
-    let pool = pool::global();
+    let group_cols: Vec<usize> = group_by
+        .iter()
+        .map(|g| input.schema().index_of(g).map_err(wrap))
+        .collect::<Result<_, _>>()?;
     let nrows = input.num_rows();
-    let hashes: Arc<Vec<u64>> = Arc::new(compute::hash_rows(input, group_cols));
 
     // Output schema: group columns then one column per aggregate.
     let mut fields: Vec<Field> = group_cols
@@ -378,84 +388,25 @@ pub(crate) fn aggregate_partitioned(
         .map(|&c| input.schema().field(c).clone())
         .collect();
     let mut kinds: Vec<AggKind> = Vec::new();
-    for (func, column, name) in aggs {
-        let kind = resolve_agg(func, column, input)?;
-        fields.push(Field::new(name.clone(), kind.data_type(), true));
+    for agg in aggs {
+        let kind = resolve_agg(agg, input)?;
+        fields.push(Field::new(agg.name.clone(), kind.data_type(), true));
         kinds.push(kind);
     }
-    let kinds = Arc::new(kinds);
 
-    // Partition rows by hash prefix (null keys group like any other key).
-    let ranges = morsels(nrows);
-    let ranges2 = ranges.clone();
-    let h2 = Arc::clone(&hashes);
-    let chunks = pool.run_indexed(ranges.len(), move |m| {
-        let (lo, hi) = ranges2[m];
-        let mut out: [Vec<u32>; PARTITIONS] = Default::default();
-        for r in lo..hi {
-            out[partition_of(h2[r])].push(r as u32);
-        }
-        out
-    });
-    let mut part_rows: Vec<Vec<u32>> = vec![Vec::new(); PARTITIONS];
-    for chunk in chunks {
-        for (p, rows) in chunk.into_iter().enumerate() {
-            part_rows[p].extend(rows);
-        }
-    }
-
-    // Group and accumulate each partition independently.
+    let (hashes, part_rows) = if group_cols.is_empty() {
+        (Arc::default(), vec![(0..nrows as u32).collect()])
+    } else {
+        let hashes = Arc::new(compute::hash_rows(input, &group_cols));
+        let part_rows = partition_rows(&hashes, None, pool::partitions(nrows));
+        (hashes, part_rows)
+    };
+    let nparts = part_rows.len();
     let part_rows = Arc::new(part_rows);
-    let pr2 = Arc::clone(&part_rows);
-    let h3 = Arc::clone(&hashes);
-    let k2 = Arc::clone(&kinds);
-    let gcols: Arc<Vec<usize>> = Arc::new(group_cols.to_vec());
-    let input2 = input.clone();
-    let mut parts = pool.run_indexed(PARTITIONS, move |p| {
-        let rows = &pr2[p];
-        let mut table = GroupTable::with_capacity_hint(rows.len());
-        let cap = table.capacity();
-        let mut collisions = 0u64;
-        let mut rep_rows: Vec<usize> = Vec::new();
-        let mut group_sizes: Vec<i64> = Vec::new();
-        let mut row_group: Vec<u32> = Vec::with_capacity(rows.len());
-        for &r in rows.iter() {
-            let r = r as usize;
-            let (g, inserted) = table.find_or_insert(
-                h3[r],
-                |g| group_key_eq(&input2, &gcols, rep_rows[g as usize], r),
-                &mut collisions,
-            );
-            if inserted {
-                rep_rows.push(r);
-                group_sizes.push(1);
-            } else {
-                group_sizes[g as usize] += 1;
-            }
-            row_group.push(g);
-        }
-        let keys: Vec<String> = rep_rows
-            .iter()
-            .map(|&r| {
-                gcols
-                    .iter()
-                    .map(|&c| input2.column(c).value_at(r).to_string())
-                    .collect::<Vec<_>>()
-                    .join("\u{1}")
-            })
-            .collect();
-        let agg_cols: Vec<Array> = k2
-            .iter()
-            .map(|kind| accumulate_rows(kind, &input2, rows, &row_group, &group_sizes))
-            .collect();
-        PartAgg {
-            rep_rows,
-            keys,
-            agg_cols,
-            cap,
-            collisions,
-            rehashes: table.rehashes,
-        }
+    let kinds = Arc::new(kinds);
+    let (k2, gcols, input2) = (Arc::clone(&kinds), group_cols.clone(), input.clone());
+    let mut parts = pool::global().run_indexed(nparts, move |p| {
+        group_partition(&input2, &gcols, &hashes, &part_rows[p], &k2)
     });
 
     for p in &parts {
@@ -465,17 +416,19 @@ pub(crate) fn aggregate_partitioned(
         stats.groups += p.rep_rows.len() as u64;
     }
 
-    // Deterministic merge: the serial engine stable-sorts groups by
-    // rendered key with first-appearance tie order; first appearance is
-    // ascending representative row, so (key, rep_row) reproduces it.
-    let mut entries: Vec<(usize, usize)> = (0..PARTITIONS)
-        .flat_map(|p| (0..parts[p].rep_rows.len()).map(move |g| (p, g)))
+    // Deterministic merge: rendered-key order, first appearance (the
+    // ascending representative row) breaking ties. Representative rows
+    // are distinct, so `(key, row)` is a total order.
+    let mut order: Vec<(&str, usize, usize, usize)> = parts
+        .iter()
+        .enumerate()
+        .flat_map(|(p, part)| {
+            (part.keys.iter().zip(&part.rep_rows).enumerate())
+                .map(move |(g, (key, &rep))| (key.as_str(), rep, p, g))
+        })
         .collect();
-    entries.sort_by(|&(pa, ga), &(pb, gb)| {
-        parts[pa].keys[ga]
-            .cmp(&parts[pb].keys[gb])
-            .then(parts[pa].rep_rows[ga].cmp(&parts[pb].rep_rows[gb]))
-    });
+    order.sort_unstable();
+    let entries: Vec<(usize, usize)> = order.into_iter().map(|(_, _, p, g)| (p, g)).collect();
     let ordered_reps: Vec<usize> = entries.iter().map(|&(p, g)| parts[p].rep_rows[g]).collect();
 
     let mut columns: Vec<Array> = group_cols
@@ -493,6 +446,69 @@ pub(crate) fn aggregate_partitioned(
             .collect(),
         first_rows: ordered_reps,
     })
+}
+
+/// Groups one partition's rows (ascending global rows) and runs every
+/// aggregate over them. Without group columns the rows form one group
+/// whose first row is row 0, and no table is built.
+fn group_partition(
+    input: &RecordBatch,
+    gcols: &[usize],
+    hashes: &[u64],
+    rows: &[u32],
+    kinds: &[AggKind],
+) -> PartAgg {
+    let mut rep_rows: Vec<usize> = Vec::new();
+    let mut group_sizes: Vec<i64> = Vec::new();
+    let mut row_group: Vec<u32> = Vec::with_capacity(rows.len());
+    let (mut cap, mut collisions, mut rehashes) = (0, 0, 0);
+    if gcols.is_empty() {
+        rep_rows.push(0);
+        group_sizes.push(rows.len() as i64);
+        row_group.resize(rows.len(), 0);
+    } else {
+        // Preallocated from the exact row count, so it never rehashes.
+        let mut table = GroupTable::with_capacity_hint(rows.len());
+        cap = table.capacity();
+        for &r in rows {
+            let r = r as usize;
+            let (g, inserted) = table.find_or_insert(
+                hashes[r],
+                |g| group_key_eq(input, gcols, rep_rows[g as usize], r),
+                &mut collisions,
+            );
+            if inserted {
+                rep_rows.push(r);
+                group_sizes.push(1);
+            } else {
+                group_sizes[g as usize] += 1;
+            }
+            row_group.push(g);
+        }
+        rehashes = table.rehashes;
+    }
+    let keys: Vec<String> = rep_rows
+        .iter()
+        .map(|&r| {
+            gcols
+                .iter()
+                .map(|&c| input.column(c).value_at(r).to_string())
+                .collect::<Vec<_>>()
+                .join("\u{1}")
+        })
+        .collect();
+    let agg_cols: Vec<Array> = kinds
+        .iter()
+        .map(|kind| accumulate_rows(kind, input, rows, &row_group, &group_sizes))
+        .collect();
+    PartAgg {
+        rep_rows,
+        keys,
+        agg_cols,
+        cap,
+        collisions,
+        rehashes,
+    }
 }
 
 /// Gathers one aggregate's output column across partitions in merged
@@ -524,9 +540,12 @@ fn gather_agg(parts: &[PartAgg], k: usize, entries: &[(usize, usize)], dt: DataT
     }
 }
 
-/// [`super::accumulate`] restricted to one partition's row list:
-/// `row_group[k]` is the local group of row `rows[k]`. Iterating `rows`
-/// (ascending global rows) folds each group in global row order.
+/// Runs one aggregate over one partition's rows in a single
+/// column-at-a-time pass: `row_group[k]` is the local group of row
+/// `rows[k]`. Iterating `rows` (ascending global rows) folds each group
+/// in global row order. Integer sums, mins and maxes fold from their
+/// identity in `Option<i64>` per group (groups with no non-null value
+/// stay null); float folds from `0.0` / `±INFINITY`.
 fn accumulate_rows(
     kind: &AggKind,
     input: &RecordBatch,
@@ -535,6 +554,12 @@ fn accumulate_rows(
     group_sizes: &[i64],
 ) -> Array {
     let ng = group_sizes.len();
+    let i64s = |c: usize| valid_values(input.column(c), rows, i64::from_le_bytes);
+    let f64s = |c: usize| valid_values(input.column(c), rows, f64::from_le_bytes);
+    let fold_i64 =
+        |c, identity, op| Array::from_opt_i64(fold(i64s(c), row_group, ng, identity, op));
+    let fold_f64 =
+        |c, identity, op| Array::from_opt_f64(fold(f64s(c), row_group, ng, identity, op));
     match *kind {
         AggKind::CountStar => Array::from_i64(group_sizes.to_vec()),
         AggKind::Count(c) => {
@@ -547,55 +572,23 @@ fn accumulate_rows(
             }
             Array::from_i64(counts)
         }
-        AggKind::SumI64(c) => {
-            fold_rows_i64(input.column(c), rows, row_group, ng, 0, i64::wrapping_add)
-        }
-        AggKind::MinI64(c) => {
-            fold_rows_i64(input.column(c), rows, row_group, ng, i64::MAX, i64::min)
-        }
-        AggKind::MaxI64(c) => {
-            fold_rows_i64(input.column(c), rows, row_group, ng, i64::MIN, i64::max)
-        }
-        AggKind::SumF64(c) => {
-            fold_rows_f64(input.column(c), rows, row_group, ng, 0.0, |a, b| a + b)
-        }
-        AggKind::MinF64(c) => fold_rows_f64(
-            input.column(c),
-            rows,
-            row_group,
-            ng,
-            f64::INFINITY,
-            f64::min,
-        ),
-        AggKind::MaxF64(c) => fold_rows_f64(
-            input.column(c),
-            rows,
-            row_group,
-            ng,
-            f64::NEG_INFINITY,
-            f64::max,
-        ),
+        AggKind::SumI64(c) => fold_i64(c, 0, i64::wrapping_add),
+        AggKind::MinI64(c) => fold_i64(c, i64::MAX, i64::min),
+        AggKind::MaxI64(c) => fold_i64(c, i64::MIN, i64::max),
+        AggKind::SumF64(c) => fold_f64(c, 0.0, |a, b| a + b),
+        AggKind::MinF64(c) => fold_f64(c, f64::INFINITY, f64::min),
+        AggKind::MaxF64(c) => fold_f64(c, f64::NEG_INFINITY, f64::max),
         AggKind::Avg(c) => {
             let mut sums = vec![0f64; ng];
             let mut counts = vec![0i64; ng];
+            let mut add = |k: usize, v: f64| {
+                let g = row_group[k] as usize;
+                sums[g] += v;
+                counts[g] += 1;
+            };
             match input.column(c) {
-                Array::Int64(a) => {
-                    for (k, &r) in rows.iter().enumerate() {
-                        if let Some(v) = a.get(r as usize) {
-                            sums[row_group[k] as usize] += v as f64;
-                            counts[row_group[k] as usize] += 1;
-                        }
-                    }
-                }
-                Array::Float64(a) => {
-                    for (k, &r) in rows.iter().enumerate() {
-                        if let Some(v) = a.get(r as usize) {
-                            sums[row_group[k] as usize] += v;
-                            counts[row_group[k] as usize] += 1;
-                        }
-                    }
-                }
-                _ => unreachable!("avg resolved only for numeric columns"),
+                Array::Int64(_) => i64s(c).for_each(|(k, v)| add(k, v as f64)),
+                _ => f64s(c).for_each(|(k, v)| add(k, v)),
             }
             Array::from_opt_f64(
                 (0..ng)
@@ -607,49 +600,52 @@ fn accumulate_rows(
     }
 }
 
-fn fold_rows_i64(
-    col: &Array,
-    rows: &[u32],
-    row_group: &[u32],
-    ng: usize,
-    identity: i64,
-    op: fn(i64, i64) -> i64,
-) -> Array {
-    let a = col.as_i64().expect("resolved as Int64");
-    let mut acc: Vec<Option<i64>> = vec![None; ng];
-    for (k, &r) in rows.iter().enumerate() {
-        if let Some(v) = a.get(r as usize) {
-            let g = row_group[k] as usize;
-            acc[g] = Some(op(acc[g].unwrap_or(identity), v));
-        }
-    }
-    Array::from_opt_i64(acc)
+/// `(k, value)` for each non-null row `rows[k]` of an `Int64` or
+/// `Float64` column, decoded from the column's raw little-endian bytes.
+fn valid_values<'a, T>(
+    col: &'a Array,
+    rows: &'a [u32],
+    decode: impl Fn([u8; 8]) -> T + 'a,
+) -> impl Iterator<Item = (usize, T)> + 'a {
+    let (raw, validity) = match col {
+        Array::Int64(a) => (a.values().as_slice(), a.validity()),
+        Array::Float64(a) => (a.values().as_slice(), a.validity()),
+        _ => unreachable!("numeric aggregates resolve only over Int64 and Float64"),
+    };
+    rows.iter().enumerate().filter_map(move |(k, &r)| {
+        let r = r as usize;
+        validity.is_none_or(|v| v.get(r)).then(|| {
+            (
+                k,
+                decode(raw[r * 8..r * 8 + 8].try_into().expect("8 bytes")),
+            )
+        })
+    })
 }
 
-fn fold_rows_f64(
-    col: &Array,
-    rows: &[u32],
+/// Folds `(k, value)` pairs into one `Option<T>` per group, starting each
+/// group from `identity`.
+fn fold<T: Copy>(
+    values: impl Iterator<Item = (usize, T)>,
     row_group: &[u32],
     ng: usize,
-    identity: f64,
-    op: fn(f64, f64) -> f64,
-) -> Array {
-    let a = col.as_f64().expect("resolved as Float64");
-    let mut acc: Vec<Option<f64>> = vec![None; ng];
-    for (k, &r) in rows.iter().enumerate() {
-        if let Some(v) = a.get(r as usize) {
-            let g = row_group[k] as usize;
-            acc[g] = Some(op(acc[g].unwrap_or(identity), v));
-        }
+    identity: T,
+    op: fn(T, T) -> T,
+) -> Vec<Option<T>> {
+    let mut acc: Vec<Option<T>> = vec![None; ng];
+    for (k, v) in values {
+        let g = row_group[k] as usize;
+        acc[g] = Some(op(acc[g].unwrap_or(identity), v));
     }
-    Array::from_opt_f64(acc)
+    acc
 }
 
-/// Parallel sort: per-morsel stable [`compute::SortKeys::sort_range`]
+/// The sort permutation: per-morsel stable [`compute::SortKeys::sort_range`]
 /// runs, then pairwise [`compute::SortKeys::merge`] rounds on the pool.
 /// The merge tie-breaks equal keys by row index, a total order — so any
 /// merge shape yields the unique permutation of the full stable sort,
-/// identical to [`compute::sort_to_indices`].
+/// identical to [`compute::sort_to_indices`]. Below one morsel of rows
+/// that is one plain stable sort.
 pub(crate) fn sort_permutation(keys: compute::SortKeys, order: SortOrder) -> Vec<usize> {
     let pool = pool::global();
     let ranges = morsels(keys.len());
@@ -680,6 +676,16 @@ pub(crate) fn sort_permutation(keys: compute::SortKeys, order: SortOrder) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::pool::PARALLEL_MIN_ROWS;
+    use skadi_arrow::array::Value;
+
+    fn int_batch(name: &str, keys: Vec<Option<i64>>) -> RecordBatch {
+        RecordBatch::try_new(
+            Schema::new(vec![Field::new(name, DataType::Int64, true)]),
+            vec![Array::from_opt_i64(keys)],
+        )
+        .unwrap()
+    }
 
     /// Deterministic pseudo-random i64s (splitmix-style), no rand dep.
     fn pseudo(n: usize, seed: u64, modulus: i64) -> Vec<i64> {
@@ -729,41 +735,62 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_join_matches_bruteforce_and_is_thread_invariant() {
+    fn join_matches_bruteforce_and_is_thread_invariant() {
         let _guard = pool::test_guard();
-        let n = PARALLEL_MIN_ROWS + 1234;
-        let lkeys = pseudo(n, 7, 97);
-        let rkeys: Vec<i64> = (0..97).map(|i| (i * 31) % 97).collect();
-        let lcol = Array::from_i64(lkeys.clone());
-        let rcol = Array::from_i64(rkeys.clone());
+        // One partition just below the size choice, eight just above.
+        for n in [PARALLEL_MIN_ROWS - 1, PARALLEL_MIN_ROWS + 1234] {
+            let lkeys = pseudo(n, 7, 97);
+            let rkeys: Vec<i64> = (0..97).map(|i| (i * 31) % 97).collect();
+            let left = int_batch("k", lkeys.iter().map(|&k| Some(k)).collect());
+            let right = int_batch("k", rkeys.iter().map(|&k| Some(k)).collect());
 
-        let mut expected: (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
-        for (l, lk) in lkeys.iter().enumerate() {
-            for (r, rk) in rkeys.iter().enumerate() {
-                if lk == rk {
-                    expected.0.push(l);
-                    expected.1.push(r);
+            let mut expected: (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
+            for (l, lk) in lkeys.iter().enumerate() {
+                for (r, rk) in rkeys.iter().enumerate() {
+                    if lk == rk {
+                        expected.0.push(l);
+                        expected.1.push(r);
+                    }
                 }
             }
-        }
 
-        let mut baseline = None;
-        for threads in [1, 2, 4] {
-            pool::set_global_threads(threads);
-            let mut stats = KernelStats::default();
-            let got = join_rows_partitioned(&lcol, &rcol, false, &mut stats);
-            assert_eq!(got, expected, "threads={threads}");
-            assert_eq!(stats.rehashes, 0);
-            let sig = (stats.hash_slots, stats.hash_collisions);
-            if let Some(prev) = baseline {
-                assert_eq!(sig, prev, "stats must not depend on threads");
+            let mut baseline = None;
+            for threads in [1, 2, 4] {
+                pool::set_global_threads(threads);
+                let mut stats = KernelStats::default();
+                let got = join_rows(&left, &right, "k", "k", &mut stats).unwrap();
+                assert_eq!(got, expected, "n={n} threads={threads}");
+                assert_eq!(stats.rehashes, 0);
+                let sig = (stats.hash_slots, stats.hash_collisions);
+                if let Some(prev) = baseline {
+                    assert_eq!(sig, prev, "stats must not depend on threads");
+                }
+                baseline = Some(sig);
             }
-            baseline = Some(sig);
         }
     }
 
     #[test]
-    fn partitioned_aggregate_matches_direct_computation() {
+    fn one_partition_join_sizes_its_table_from_all_build_rows() {
+        // 9 build rows, one null key: the table has next_pow2(2 * 9) = 32
+        // slots, not the 16 that sizing from the 8 non-null rows would
+        // give, and the chain walks see that table's collisions.
+        let build = int_batch(
+            "k",
+            [1, 2, -1, 3, 2, 5, 8, 13, 21]
+                .map(|k| (k >= 0).then_some(k))
+                .to_vec(),
+        );
+        let probe = int_batch("k", (0..40).map(|i| (i != 7).then_some(i)).collect());
+        let mut stats = KernelStats::default();
+        let (l, r) = join_rows(&probe, &build, "k", "k", &mut stats).unwrap();
+        assert_eq!(l, vec![1, 2, 2, 3, 5, 8, 13, 21]);
+        assert_eq!(r, vec![0, 1, 4, 3, 5, 6, 7, 8]);
+        assert_eq!((stats.hash_slots, stats.hash_collisions), (32, 29));
+    }
+
+    #[test]
+    fn aggregate_matches_direct_computation() {
         let _guard = pool::test_guard();
         let n = PARALLEL_MIN_ROWS + 777;
         let keys = pseudo(n, 3, 37);
@@ -776,10 +803,12 @@ mod tests {
             vec![Array::from_i64(keys.clone()), Array::from_i64(vals.clone())],
         )
         .unwrap();
-        let aggs = vec![
-            ("sum".to_string(), "v".to_string(), "s".to_string()),
-            ("count".to_string(), "*".to_string(), "n".to_string()),
-        ];
+        let agg = |func: &str, column: &str, name: &str| ExecAgg {
+            func: func.into(),
+            column: column.into(),
+            name: name.into(),
+        };
+        let aggs = vec![agg("sum", "v", "s"), agg("count", "*", "n")];
 
         let mut by_key: std::collections::BTreeMap<String, (i64, i64, i64)> =
             std::collections::BTreeMap::new();
@@ -792,7 +821,7 @@ mod tests {
         for threads in [1, 4] {
             pool::set_global_threads(threads);
             let mut stats = KernelStats::default();
-            let out = aggregate_partitioned(&[0], &aggs, &input, &mut stats)
+            let out = aggregate(&["k".to_string()], &aggs, &input, &mut stats)
                 .unwrap()
                 .batch;
             assert_eq!(out.num_rows(), by_key.len());
@@ -807,7 +836,7 @@ mod tests {
     }
 
     #[test]
-    fn sort_permutation_matches_serial_kernel() {
+    fn sort_permutation_matches_sort_to_indices() {
         let _guard = pool::test_guard();
         let n = PARALLEL_MIN_ROWS * 2 + 321;
         let vals = pseudo(n, 13, 500);
@@ -843,9 +872,9 @@ mod tests {
         .unwrap();
         let idx: Vec<usize> = (0..n).rev().collect();
         pool::set_global_threads(4);
-        let par = take_batch(&batch, &idx).unwrap();
+        let par = take_batch(&batch, idx.clone()).unwrap();
         let ser = compute::take_indices(&batch, &idx).unwrap();
         assert_eq!(par, ser);
-        assert!(take_batch(&batch, &[n]).is_err(), "bounds still checked");
+        assert!(take_batch(&batch, vec![n]).is_err(), "bounds still checked");
     }
 }

@@ -26,11 +26,44 @@ use std::thread::JoinHandle;
 /// thread count) so row-range splits are identical at every parallelism.
 pub const MORSEL_ROWS: usize = 16 * 1024;
 
-/// Inputs below this many rows stay on the legacy single-threaded kernel
-/// paths. The threshold is data-dependent only, so which path runs — and
-/// therefore every profile counter it reports — is the same at every
-/// thread count.
+/// The one size choice of the kernels. Below this many rows a kernel
+/// runs as one hash partition and one morsel, inline on the caller —
+/// the serial algorithm, with no pool traffic; at or above it, joins and
+/// group-bys split into [`PARTITIONS`] partitions and per-column and
+/// per-conjunct work fans out across the pool. The choice depends on
+/// data size only, so every profile counter is the same at every thread
+/// count.
 pub const PARALLEL_MIN_ROWS: usize = MORSEL_ROWS;
+
+/// Hash partitions of the join and group-by kernels over inputs of at
+/// least [`PARALLEL_MIN_ROWS`] rows. A power of two, selected by the top
+/// bits of the folded key hash; never derived from thread count.
+pub const PARTITIONS: usize = 8;
+
+/// Hash partitions for a join or group-by over `rows` input rows: one
+/// below [`PARALLEL_MIN_ROWS`], [`PARTITIONS`] at or above it.
+pub fn partitions(rows: usize) -> usize {
+    if rows >= PARALLEL_MIN_ROWS {
+        PARTITIONS
+    } else {
+        1
+    }
+}
+
+/// Runs `f(0..n)` for `n` independent pieces of work over `rows` rows
+/// (one per column or per conjunct) and returns the results in index
+/// order: across the global pool at or above [`PARALLEL_MIN_ROWS`]
+/// rows, inline on the caller below it.
+pub fn run_sized<R, F>(rows: usize, n: usize, f: F) -> Vec<R>
+where
+    R: Send + 'static,
+    F: Fn(usize) -> R + Send + Sync + 'static,
+{
+    if rows < PARALLEL_MIN_ROWS {
+        return (0..n).map(f).collect();
+    }
+    global().run_indexed(n, f)
+}
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 

@@ -3,8 +3,8 @@
 //!
 //! SQL planning attaches an [`ExecOp`] descriptor to every FlowGraph
 //! vertex. This module interprets those descriptors over real
-//! [`RecordBatch`]es with the vectorized kernels in [`crate::exec`]
-//! (`join_rows`, `aggregate_spec`, ...). Two callers run it:
+//! [`RecordBatch`]es with the kernels in [`crate::exec::parallel`] (one
+//! per operator: join, group-by, sort, filter). Two callers run it:
 //!
 //! - the distributed data plane (`skadi::GraphExecutor`) runs one task
 //!   per shard of the lowered physical graph, with inputs decoded from
@@ -55,10 +55,9 @@ use skadi_arrow::compute;
 use skadi_arrow::datatype::DataType;
 use skadi_arrow::schema::{Field, Schema};
 use skadi_flowgraph::profile::ShardStats;
-use skadi_flowgraph::{ExecAgg, ExecCompare, ExecLiteral, ExecOp, FlowGraph, VertexId};
+use skadi_flowgraph::{ExecAgg, ExecOp, FlowGraph, VertexId};
 
-use crate::exec::{self, sort_by, wrap};
-use crate::sql::ast::{Comparison, Literal};
+use crate::exec::{self, parallel, sort_by, wrap};
 use crate::sql::SqlError;
 
 /// Hidden row-id column threaded from scans through joins.
@@ -91,7 +90,7 @@ pub fn check_reserved_columns(tables: &BTreeMap<String, RecordBatch>) -> Result<
     Ok(())
 }
 
-/// Per-shard kernel measurements from one [`execute_shard_stats`] call:
+/// Per-shard kernel measurements from one [`execute_shard`] call:
 /// hash-table counters from join/group-by kernels plus filter-step row
 /// counts (for selectivity). Chains with several filter steps accumulate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -151,7 +150,7 @@ pub struct GraphRun {
 }
 
 /// Runs a planned graph in-process: every vertex once, single-sharded,
-/// in topological order, through [`execute_shard_stats`] — no runtime,
+/// in topological order, through [`execute_shard`] — no runtime,
 /// no IPC. A vertex's port inputs are its producers' outputs, ordered by
 /// `(port, producer)` like the data plane's. `observe` sees each output
 /// as it is produced; `run_graph` itself keeps an output only until its
@@ -202,7 +201,7 @@ pub fn run_graph(
         let rows_in = port0.iter().chain(&port1).map(RecordBatch::num_rows).sum();
         let mut stats = ShardExecStats::default();
         let started = Instant::now();
-        let out = execute_shard_stats(exec, tables, 0, 1, &port0, &port1, &mut stats)?;
+        let out = execute_shard(exec, tables, 0, 1, &port0, &port1, false, &mut stats)?;
         let wall = started.elapsed();
         observe(v, &out);
         let bytes = out.byte_size() as u64;
@@ -216,54 +215,22 @@ pub fn run_graph(
     Ok(GraphRun { output, vertices })
 }
 
-/// Executes one shard's operator chain. `port0` holds the (probe-side)
-/// input batches in producer shard order, `port1` the build side of a
-/// join; scans ignore both and read `tables` directly.
-pub fn execute_shard(
-    op: &ExecOp,
-    tables: &BTreeMap<String, RecordBatch>,
-    shard: u32,
-    shards: u32,
-    port0: &[RecordBatch],
-    port1: &[RecordBatch],
-) -> Result<RecordBatch, SqlError> {
-    execute_shard_stats(
-        op,
-        tables,
-        shard,
-        shards,
-        port0,
-        port1,
-        &mut ShardExecStats::default(),
-    )
-}
-
-/// [`execute_shard`] with kernel measurements accumulated into `stats`.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_shard_stats(
-    op: &ExecOp,
-    tables: &BTreeMap<String, RecordBatch>,
-    shard: u32,
-    shards: u32,
-    port0: &[RecordBatch],
-    port1: &[RecordBatch],
-    stats: &mut ShardExecStats,
-) -> Result<RecordBatch, SqlError> {
-    execute_shard_adaptive(op, tables, shard, shards, port0, port1, false, stats)
-}
-
 /// When the nominal build input of an adaptive join holds more than this
 /// multiple of the probe input's rows, the join builds on the probe side
 /// instead. A pure function of gathered row counts — never of timing.
 pub const SWAP_BUILD_MULTIPLE: usize = 2;
 
-/// [`execute_shard_stats`] with adaptive execution: when `adaptive` is
-/// true, a join whose gathered build side (`port1`) exceeds
-/// [`SWAP_BUILD_MULTIPLE`]× the probe side builds its hash table on the
-/// smaller side and restores probe order afterwards, so the output stays
-/// byte-identical to the static plan (see [`join_shard`]).
+/// Executes one shard's operator chain, accumulating kernel measurements
+/// into `stats`. `port0` holds the (probe-side) input batches in producer
+/// shard order, `port1` the build side of a join; scans ignore both and
+/// read `tables` directly.
+///
+/// With `adaptive` on, a join whose gathered build side (`port1`)
+/// exceeds [`SWAP_BUILD_MULTIPLE`]× the probe side builds its hash table
+/// on the smaller side and restores probe order afterwards, so the
+/// output stays byte-identical to the static plan (see [`join_shard`]).
 #[allow(clippy::too_many_arguments)]
-pub fn execute_shard_adaptive(
+pub fn execute_shard(
     op: &ExecOp,
     tables: &BTreeMap<String, RecordBatch>,
     shard: u32,
@@ -302,7 +269,7 @@ pub fn execute_shard_adaptive(
                 match other {
                     ExecOp::Filter { conjuncts } => {
                         stats.filter_rows_in += input.num_rows() as u64;
-                        let out = filter_shard(&input, &conjuncts)?;
+                        let out = exec::apply_conjuncts(&input, &conjuncts)?;
                         stats.filter_rows_out += out.num_rows() as u64;
                         out
                     }
@@ -342,44 +309,37 @@ pub fn execute_shard_adaptive(
     current.ok_or_else(|| SqlError::Plan("empty exec descriptor".into()))
 }
 
-/// Splits `batch` into hash partitions on `key`, preserving row order
-/// within each partition. The partition index is
-/// `hash_key_column(row) % parts` — byte-compatible with the physical
-/// graph's FNV-1a `Partitioner::Hash` and with the hash the join and
-/// group-by kernels bucket on. `coerce` hashes `Int64` keys through
-/// their `f64` bit pattern (used for edges into joins, where a mixed
-/// `Int64`/`Float64` key pair must co-locate).
+/// Part `part` of `parts` hash partitions of `batch` on `key`: the rows
+/// whose `hash_key_column(row) % parts` is `part`, in row order —
+/// byte-compatible with the physical graph's FNV-1a `Partitioner::Hash`
+/// and with the hash the join and group-by kernels bucket on. `coerce`
+/// hashes `Int64` keys through their `f64` bit pattern (used for edges
+/// into joins, where a mixed `Int64`/`Float64` key pair must co-locate).
 pub fn partition_by_key(
     batch: &RecordBatch,
     key: &str,
+    part: usize,
     parts: usize,
     coerce: bool,
-) -> Result<Vec<RecordBatch>, SqlError> {
+) -> Result<RecordBatch, SqlError> {
     let col = batch.column_by_name(key).map_err(wrap)?;
-    let hashes = compute::hash_key_column(col, coerce);
-    let parts = parts.max(1);
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for (r, &h) in hashes.iter().enumerate() {
-        buckets[(h % parts as u64) as usize].push(r);
-    }
-    buckets
+    let parts = parts.max(1) as u64;
+    let idx: Vec<usize> = compute::hash_key_column(col, coerce)
         .iter()
-        .map(|idx| compute::take_indices(batch, idx).map_err(wrap))
-        .collect()
+        .enumerate()
+        .filter(|&(_, &h)| h % parts == part as u64)
+        .map(|(r, _)| r)
+        .collect();
+    compute::take_indices(batch, &idx).map_err(wrap)
 }
 
-/// Splits `batch` into `parts` contiguous even slices (scatter edges).
-pub fn split_even(batch: &RecordBatch, parts: usize) -> Result<Vec<RecordBatch>, SqlError> {
+/// Part `part` of `parts` contiguous even slices of `batch` (scatter
+/// edges): rows `[part*n/parts, (part+1)*n/parts)`.
+pub fn split_even(batch: &RecordBatch, part: usize, parts: usize) -> Result<RecordBatch, SqlError> {
     let n = batch.num_rows();
     let parts = parts.max(1);
-    (0..parts)
-        .map(|i| {
-            let lo = i * n / parts;
-            let hi = (i + 1) * n / parts;
-            let idx: Vec<usize> = (lo..hi).collect();
-            compute::take_indices(batch, &idx).map_err(wrap)
-        })
-        .collect()
+    let idx: Vec<usize> = (part * n / parts..(part + 1) * n / parts).collect();
+    compute::take_indices(batch, &idx).map_err(wrap)
 }
 
 /// Concatenates input batches (producer shard order) and puts the result
@@ -476,27 +436,6 @@ fn scan_shard(table: &RecordBatch, shard: u32, shards: u32) -> Result<RecordBatc
     append_column(&slice, Field::new(RID, DataType::Int64, true), rid)
 }
 
-fn to_comparisons(conjuncts: &[ExecCompare]) -> Vec<Comparison> {
-    conjuncts
-        .iter()
-        .map(|c| Comparison {
-            column: c.column.clone(),
-            op: c.op.clone(),
-            value: match &c.value {
-                ExecLiteral::Int(v) => Literal::Int(*v),
-                ExecLiteral::Float(v) => Literal::Float(*v),
-                ExecLiteral::Str(s) => Literal::Str(s.clone()),
-            },
-        })
-        .collect()
-}
-
-fn filter_shard(input: &RecordBatch, conjuncts: &[ExecCompare]) -> Result<RecordBatch, SqlError> {
-    let cs = to_comparisons(conjuncts);
-    let refs: Vec<&Comparison> = cs.iter().collect();
-    exec::apply_conjuncts(input, &refs)
-}
-
 /// Projection keeps the hidden columns alongside the requested ones.
 fn project_shard(input: &RecordBatch, columns: &[String]) -> Result<RecordBatch, SqlError> {
     let mut keep: Vec<&str> = columns.iter().map(String::as_str).collect();
@@ -549,7 +488,7 @@ fn join_shard(
     let swap = adaptive && right_vis.num_rows() > SWAP_BUILD_MULTIPLE * left_vis.num_rows();
     let (lrows, rrows) = if swap {
         stats.build_swaps += 1;
-        let (probe, build) = exec::join_rows(
+        let (probe, build) = parallel::join_rows(
             &right_vis,
             &left_vis,
             right_key,
@@ -558,7 +497,7 @@ fn join_shard(
         )?;
         (build, probe)
     } else {
-        exec::join_rows(
+        parallel::join_rows(
             &left_vis,
             &right_vis,
             left_key,
@@ -566,13 +505,13 @@ fn join_shard(
             &mut stats.kernel,
         )?
     };
-    let mut out = exec::assemble_join(&left_vis, &right_vis, right_key, &lrows, &rrows)?;
     let stride = (right_rows as i64).max(1);
     let mut rid: Vec<i64> = lrows
         .iter()
         .zip(&rrows)
         .map(|(&l, &r)| l_rid[l].wrapping_mul(stride).wrapping_add(r_rid[r]))
         .collect();
+    let mut out = exec::assemble_join(&left_vis, &right_vis, right_key, lrows, rrows)?;
     if swap {
         let mut order: Vec<usize> = (0..rid.len()).collect();
         order.sort_by_key(|&i| rid[i]);
@@ -599,11 +538,7 @@ fn aggregate_shard(
     aggs: &[ExecAgg],
     kernel: &mut exec::KernelStats,
 ) -> Result<RecordBatch, SqlError> {
-    let spec: Vec<(String, String, String)> = aggs
-        .iter()
-        .map(|a| (a.func.clone(), a.column.clone(), a.name.clone()))
-        .collect();
-    let out = exec::aggregate_spec(group_by, &spec, input, kernel)?;
+    let out = parallel::aggregate(group_by, aggs, input, kernel)?;
     // Row ids ascend down the input, so a group's first row holds its
     // smallest id. A global aggregate of nothing has none.
     let min_rid = if input.num_rows() == 0 {
@@ -659,7 +594,17 @@ mod tests {
         let mut total = 0;
         let mut next_rid = 0i64;
         for s in 0..3 {
-            let out = execute_shard(&op, &tables, s, 3, &[], &[]).unwrap();
+            let out = execute_shard(
+                &op,
+                &tables,
+                s,
+                3,
+                &[],
+                &[],
+                false,
+                &mut ShardExecStats::default(),
+            )
+            .unwrap();
             total += out.num_rows();
             let rid = out.column_by_name(RID).unwrap();
             for r in 0..out.num_rows() {
@@ -676,7 +621,9 @@ mod tests {
         // bytes) and the shuffle the data plane performs must agree.
         let t = table();
         let parts = 4;
-        let split = partition_by_key(&t, "k", parts, false).unwrap();
+        let split: Vec<RecordBatch> = (0..parts)
+            .map(|part| partition_by_key(&t, "k", part, parts, false).unwrap())
+            .collect();
         let p = Partitioner::Hash;
         let keys = t.column(0).as_i64().unwrap();
         let mut want = vec![0usize; parts];
@@ -695,12 +642,36 @@ mod tests {
         let t = table();
         let tables = BTreeMap::from([("t".to_string(), t.clone())]);
         let op = ExecOp::Scan { table: "t".into() };
-        let a = execute_shard(&op, &tables, 0, 2, &[], &[]).unwrap();
-        let b = execute_shard(&op, &tables, 1, 2, &[], &[]).unwrap();
+        let a = execute_shard(
+            &op,
+            &tables,
+            0,
+            2,
+            &[],
+            &[],
+            false,
+            &mut ShardExecStats::default(),
+        )
+        .unwrap();
+        let b = execute_shard(
+            &op,
+            &tables,
+            1,
+            2,
+            &[],
+            &[],
+            false,
+            &mut ShardExecStats::default(),
+        )
+        .unwrap();
         // Re-partition by key, then gather everything back: canonical
         // order equals the original scan order.
-        let mut parts = partition_by_key(&a, "k", 2, false).unwrap();
-        parts.extend(partition_by_key(&b, "k", 2, false).unwrap());
+        let parts: Vec<RecordBatch> = [&a, &b]
+            .iter()
+            .flat_map(|scan| {
+                (0..2).map(|part| partition_by_key(scan, "k", part, 2, false).unwrap())
+            })
+            .collect();
         let back = gather(&parts).unwrap();
         assert_eq!(back.num_rows(), t.num_rows());
         for r in 0..t.num_rows() {
@@ -728,8 +699,17 @@ mod tests {
         .unwrap()
         .dict_encoded();
         let tables = BTreeMap::from([("t".to_string(), t)]);
-        let scan =
-            execute_shard(&ExecOp::Scan { table: "t".into() }, &tables, 1, 2, &[], &[]).unwrap();
+        let scan = execute_shard(
+            &ExecOp::Scan { table: "t".into() },
+            &tables,
+            1,
+            2,
+            &[],
+            &[],
+            false,
+            &mut ShardExecStats::default(),
+        )
+        .unwrap();
         let part = compute::take_indices(&scan, &[0, 2]).unwrap();
         let merged =
             canonicalize(&RecordBatch::concat(std::slice::from_ref(&part)).unwrap()).unwrap();
@@ -771,10 +751,28 @@ mod tests {
         )
         .unwrap();
         let tables = BTreeMap::from([("l".to_string(), left), ("r".to_string(), right)]);
-        let lscan =
-            execute_shard(&ExecOp::Scan { table: "l".into() }, &tables, 0, 1, &[], &[]).unwrap();
-        let rscan =
-            execute_shard(&ExecOp::Scan { table: "r".into() }, &tables, 0, 1, &[], &[]).unwrap();
+        let lscan = execute_shard(
+            &ExecOp::Scan { table: "l".into() },
+            &tables,
+            0,
+            1,
+            &[],
+            &[],
+            false,
+            &mut ShardExecStats::default(),
+        )
+        .unwrap();
+        let rscan = execute_shard(
+            &ExecOp::Scan { table: "r".into() },
+            &tables,
+            0,
+            1,
+            &[],
+            &[],
+            false,
+            &mut ShardExecStats::default(),
+        )
+        .unwrap();
         let op = ExecOp::Join {
             left_key: "k".into(),
             right_key: "k".into(),
@@ -783,19 +781,15 @@ mod tests {
         let mut swaps = 0;
         let mut matched = 0;
         for shard in 0..2u32 {
-            let p0 = partition_by_key(&lscan, "k", 2, true).unwrap();
-            let p1 = partition_by_key(&rscan, "k", 2, true).unwrap();
-            let port0 = vec![p0[shard as usize].clone()];
-            let port1 = vec![p1[shard as usize].clone()];
+            let port0 = vec![partition_by_key(&lscan, "k", shard as usize, 2, true).unwrap()];
+            let port1 = vec![partition_by_key(&rscan, "k", shard as usize, 2, true).unwrap()];
             let mut st = ShardExecStats::default();
             let fixed =
-                execute_shard_adaptive(&op, &tables, shard, 2, &port0, &port1, false, &mut st)
-                    .unwrap();
+                execute_shard(&op, &tables, shard, 2, &port0, &port1, false, &mut st).unwrap();
             assert_eq!(st.build_swaps, 0);
             let mut ad = ShardExecStats::default();
             let swapped =
-                execute_shard_adaptive(&op, &tables, shard, 2, &port0, &port1, true, &mut ad)
-                    .unwrap();
+                execute_shard(&op, &tables, shard, 2, &port0, &port1, true, &mut ad).unwrap();
             assert_eq!(fixed, swapped);
             swaps += ad.build_swaps;
             matched += fixed.num_rows();
@@ -844,7 +838,9 @@ mod tests {
     #[test]
     fn split_even_is_contiguous_and_total() {
         let t = table();
-        let parts = split_even(&t, 3).unwrap();
+        let parts: Vec<RecordBatch> = (0..3)
+            .map(|part| split_even(&t, part, 3).unwrap())
+            .collect();
         assert_eq!(parts.iter().map(|b| b.num_rows()).sum::<usize>(), 8);
         assert_eq!(parts[0].column(0).value_at(0), Value::I64(3));
     }

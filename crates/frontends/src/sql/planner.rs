@@ -55,8 +55,8 @@ fn exec_conjuncts(cs: &[Comparison]) -> Vec<ExecCompare> {
 }
 
 /// The aggregate items of the SELECT list as executable descriptors,
-/// named exactly like the local engine names its output columns.
-fn exec_aggs(q: &Query) -> Vec<ExecAgg> {
+/// named `alias` or `func(column)`.
+pub(crate) fn exec_aggs(q: &Query) -> Vec<ExecAgg> {
     q.select
         .iter()
         .filter_map(|item| match &item.expr {

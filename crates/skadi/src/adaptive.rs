@@ -16,7 +16,7 @@
 //! fills only `k < parallelism` buckets are re-lowered to `k` shards.
 //! The runtime half of the same idea lives in the shard kernels
 //! themselves: joins observe gathered row counts and build on the
-//! smaller side (`shard::execute_shard_adaptive`).
+//! smaller side (`shard::execute_shard` with `adaptive` on).
 //!
 //! Every decision is a pure function of data (row counts and key
 //! histograms), never of wall clock, thread count, or node placement —
@@ -28,6 +28,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use skadi_arrow::batch::RecordBatch;
+use skadi_arrow::compute;
 use skadi_flowgraph::logical::{EdgeKind, FlowGraph, VertexBody, VertexId};
 use skadi_flowgraph::lower::LowerConfig;
 use skadi_flowgraph::ExecOp;
@@ -123,10 +124,15 @@ pub fn plan(
             continue;
         };
         let coerce = to.exec.as_ref().is_some_and(starts_with_join);
-        let Ok(buckets) = shard::partition_by_key(batch, key, parts as usize, coerce) else {
+        let Ok(col) = batch.column_by_name(key) else {
             continue;
         };
-        let non_empty = buckets.iter().filter(|b| b.num_rows() > 0).count().max(1) as u32;
+        // The buckets `shard::partition_by_key` would route rows to.
+        let mut filled = vec![false; parts as usize];
+        for h in compute::hash_key_column(col, coerce) {
+            filled[(h % parts as u64) as usize] = true;
+        }
+        let non_empty = filled.iter().filter(|&&f| f).count().max(1) as u32;
         let entry = needed.entry(e.to.0).or_insert((0, key.clone()));
         if non_empty > entry.0 {
             *entry = (non_empty, key.clone());

@@ -254,24 +254,22 @@ impl GraphExecutor {
                 .ok_or_else(|| format!("missing payload from {} into {}", e.from, v.id))?;
             let part = match &e.kind {
                 PEdgeKind::Shuffle { key, .. } => {
-                    let parts =
-                        shard::partition_by_key(full, key, v.shards as usize, is_join_consumer(op))
-                            .map_err(|err| format!("shuffle into {}: {err}", v.id))?;
-                    let mine = parts
-                        .into_iter()
-                        .nth(v.shard as usize)
-                        .expect("partition count equals consumer shards");
+                    let mine = shard::partition_by_key(
+                        full,
+                        key,
+                        v.shard as usize,
+                        v.shards as usize,
+                        is_join_consumer(op),
+                    )
+                    .map_err(|err| format!("shuffle into {}: {err}", v.id))?;
                     self.stats
                         .borrow_mut()
                         .shuffle_rows
                         .insert((e.from.0 as u64, t.0), mine.num_rows());
                     mine
                 }
-                PEdgeKind::Scatter => shard::split_even(full, v.shards as usize)
-                    .map_err(|err| format!("scatter into {}: {err}", v.id))?
-                    .into_iter()
-                    .nth(v.shard as usize)
-                    .expect("split count equals consumer shards"),
+                PEdgeKind::Scatter => shard::split_even(full, v.shard as usize, v.shards as usize)
+                    .map_err(|err| format!("scatter into {}: {err}", v.id))?,
                 PEdgeKind::Pipeline | PEdgeKind::Gather | PEdgeKind::Broadcast => full.clone(),
             };
             self.stats
@@ -309,7 +307,7 @@ impl GraphExecutor {
     ) -> Result<ShardRun, String> {
         let mut exec_stats = ShardExecStats::default();
         let started = std::time::Instant::now();
-        let out = shard::execute_shard_adaptive(
+        let out = shard::execute_shard(
             &p.op,
             tables,
             p.shard,

@@ -682,7 +682,9 @@ fn shuffle_and_exec_hashes_are_bit_compatible() {
     )
     .unwrap();
     let parts = 4usize;
-    let shards = partition_by_key(&batch, "k", parts, false).unwrap();
+    let shards: Vec<RecordBatch> = (0..parts)
+        .map(|part| partition_by_key(&batch, "k", part, parts, false).unwrap())
+        .collect();
     let keys: Vec<Vec<u8>> = vec![
         10i64.to_le_bytes().to_vec(),
         20i64.to_le_bytes().to_vec(),

@@ -7,23 +7,28 @@
 //! construction), and identical simulated pricing — locally, through the
 //! distributed data plane at every parallelism, and under chaos
 //! kill/recover in every fault-tolerance mode. A property test drives
-//! the partitioned join/group-by kernels against the stringly
-//! row-at-a-time reference from `skadi_bench` at sizes above the morsel
-//! threshold, where the partitioned code paths are active.
+//! the join, group-by, sort and filter kernels against the stringly
+//! row-at-a-time reference from `skadi_bench` on both sides of the
+//! kernels' one size choice (one hash partition and one morsel below
+//! `PARALLEL_MIN_ROWS` rows, several at or above it).
 
 use proptest::prelude::*;
 
-use skadi::arrow::array::Array;
+use skadi::arrow::array::{Array, Value};
 use skadi::arrow::batch::RecordBatch;
+use skadi::arrow::compute::CmpOp;
 use skadi::arrow::datatype::DataType;
 use skadi::arrow::ipc;
 use skadi::arrow::schema::{Field, Schema};
+use skadi::frontends::exec::pool::PARALLEL_MIN_ROWS;
 use skadi::frontends::exec::{self, pool, MemDb};
 use skadi::frontends::sql::{parse, tokenize};
 use skadi::prelude::*;
 use skadi::runtime::config::FtMode;
 use skadi::store::ec::EcConfig;
-use skadi_bench::exec_bench::{baseline_group_sum_count, baseline_join};
+use skadi_bench::exec_bench::{
+    baseline_filter, baseline_group_sum_count, baseline_join, baseline_sort, baseline_topn,
+};
 use skadi_dcsim::rng::DetRng;
 use skadi_dcsim::time::SimTime;
 
@@ -36,8 +41,8 @@ fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// `n` seeded rows: a skewed i64 key, a float value with nulls, and a
-/// low-cardinality tag. Sized by callers to straddle the 16k-row morsel
-/// threshold, so both the serial and the partitioned code paths run.
+/// low-cardinality tag. Sized by callers on both sides of the 16k-row
+/// size choice, so kernels run at one partition and at several.
 fn events(n: usize, seed: u64) -> RecordBatch {
     let mut rng = DetRng::seed(seed);
     let keys: Vec<i64> = (0..n).map(|_| rng.below(97) as i64).collect();
@@ -245,34 +250,59 @@ fn chaos_runs_are_thread_invariant_in_every_ft_mode() {
     pool::set_global_threads(restore);
 }
 
-// The partitioned kernels against the engine-independent stringly
-// reference, at a size where the partitioned paths are active. Sweeping
-// seeds varies key skew, null placement, and partition occupancy.
+/// Row counts on both sides of the kernels' size choice.
+const SIZES: [usize; 4] = [300, PARALLEL_MIN_ROWS - 1, PARALLEL_MIN_ROWS, 17_000];
+
+// The kernels against the engine-independent stringly reference, at
+// every size in `SIZES`. Sweeping seeds varies key skew, null placement,
+// and partition occupancy.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn partitioned_kernels_match_stringly_reference(seed in 0u64..1000) {
+    fn kernels_match_stringly_reference_on_both_sides_of_the_size_choice(seed in 0u64..1000) {
         let _guard = pool_lock();
         let restore = pool::global_threads();
-        let left = events(17_000, seed);
         let right = dims();
         let q = parse(&tokenize(
             "SELECT k, sum(v) AS s, count(*) AS n FROM events GROUP BY k",
         ).unwrap()).unwrap();
+        let filter = "SELECT * FROM events WHERE tag = 'red' AND v > 10";
+        let sort = "SELECT * FROM events ORDER BY v";
+        let topn = "SELECT * FROM events ORDER BY v DESC LIMIT 25";
+        let conjuncts = [
+            ("tag", CmpOp::Eq, Value::Str("red".into())),
+            ("v", CmpOp::Gt, Value::F64(10.0)),
+        ];
 
-        pool::set_global_threads(1);
-        let join1 = exec::hash_join(&left, &right, "k", "k").unwrap();
-        let agg1 = exec::aggregate(&q, &left).unwrap();
-        prop_assert_eq!(&join1, &baseline_join(&left, &right, "k", "k"));
-        prop_assert_eq!(&agg1, &baseline_group_sum_count(&left, "k", "v"));
+        for n in SIZES {
+            let left = events(n, seed);
+            let db = MemDb::new().register("events", left.clone());
+            pool::set_global_threads(1);
+            let want = [
+                exec::hash_join(&left, &right, "k", "k").unwrap(),
+                exec::aggregate(&q, &left).unwrap(),
+                db.query(filter).unwrap(),
+                db.query(sort).unwrap(),
+                db.query(topn).unwrap(),
+            ];
+            prop_assert_eq!(&want[0], &baseline_join(&left, &right, "k", "k"), "join at {} rows", n);
+            prop_assert_eq!(&want[1], &baseline_group_sum_count(&left, "k", "v"), "group-by at {} rows", n);
+            prop_assert_eq!(&want[2], &baseline_filter(&left, &conjuncts), "filter at {} rows", n);
+            prop_assert_eq!(&want[3], &baseline_sort(&left, "v", false), "sort at {} rows", n);
+            prop_assert_eq!(&want[4], &baseline_topn(&left, "v", 25), "top-n at {} rows", n);
 
-        for t in [2usize, 4, 8] {
-            pool::set_global_threads(t);
-            let join_t = exec::hash_join(&left, &right, "k", "k").unwrap();
-            let agg_t = exec::aggregate(&q, &left).unwrap();
-            prop_assert_eq!(&join_t, &join1, "join changed at {} threads", t);
-            prop_assert_eq!(&agg_t, &agg1, "group-by changed at {} threads", t);
+            for t in [2usize, 4, 8] {
+                pool::set_global_threads(t);
+                let got = [
+                    exec::hash_join(&left, &right, "k", "k").unwrap(),
+                    exec::aggregate(&q, &left).unwrap(),
+                    db.query(filter).unwrap(),
+                    db.query(sort).unwrap(),
+                    db.query(topn).unwrap(),
+                ];
+                prop_assert_eq!(&got, &want, "{} rows changed at {} threads", n, t);
+            }
         }
         pool::set_global_threads(restore);
     }
