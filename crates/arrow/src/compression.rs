@@ -265,6 +265,12 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>, ArrowError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::array::Array;
+    use crate::batch::RecordBatch;
+    use crate::datatype::DataType;
+    use crate::ipc;
+    use crate::schema::{Field, Schema};
+    use bytes::Bytes;
     use proptest::prelude::*;
 
     fn round_trip(raw: &[u8]) {
@@ -334,13 +340,20 @@ mod tests {
 
     #[test]
     fn truncations_and_bit_flips_never_panic() {
-        let raw: Vec<u8> = std::iter::repeat_n(b"skadi shuffle frame ".as_slice(), 64)
-            .flatten()
-            .copied()
-            .collect();
-        let c = compress(&raw);
+        // A compressed IPC frame, as a task stores it. Every truncation is
+        // an error and every single-bit flip decodes to an error or a
+        // batch — through `decompress` and through `ipc::decode_payload`
+        // — never a panic.
+        let batch = RecordBatch::try_new(
+            Schema::new(vec![Field::new("s", DataType::Utf8, false)]),
+            vec![Array::from_utf8(&["skadi shuffle frame"; 64])],
+        )
+        .unwrap();
+        let c = compress(ipc::encode(&batch).as_slice());
+        assert_eq!(ipc::decode_payload(Bytes::from(c.clone())).unwrap(), batch);
         for cut in 0..c.len() {
-            let _ = decompress(&c[..cut]); // must not panic
+            let _ = decompress(&c[..cut]);
+            assert!(ipc::decode_payload(Bytes::from(c[..cut].to_vec())).is_err());
         }
         for i in 0..c.len() {
             for bit in 0..8 {
@@ -350,6 +363,7 @@ mod tests {
                     // A surviving decode must still honor the header.
                     assert!(out.len() <= MAX_DECOMPRESSED);
                 }
+                let _ = ipc::decode_payload(Bytes::from(m));
             }
         }
     }
@@ -366,9 +380,11 @@ mod tests {
         #[test]
         fn prop_junk_never_panics(junk in proptest::collection::vec(any::<u8>(), 0..512)) {
             let _ = decompress(&junk);
+            let _ = ipc::decode_payload(Bytes::from(junk.clone()));
             let mut framed = COMPRESSED_MAGIC.to_vec();
             framed.extend_from_slice(&junk);
             let _ = decompress(&framed);
+            let _ = ipc::decode_payload(Bytes::from(framed));
         }
 
         #[test]

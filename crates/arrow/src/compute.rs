@@ -115,76 +115,6 @@ pub fn take_indices(batch: &RecordBatch, indices: &[usize]) -> Result<RecordBatc
     RecordBatch::try_new(batch.schema().clone(), columns)
 }
 
-/// Sums an `Int64` column, skipping nulls. Returns `None` for an
-/// all-null/empty column.
-pub fn sum_i64(col: &Array) -> Result<Option<i64>, ArrowError> {
-    let a = col.as_i64()?;
-    match a.validity() {
-        None if a.is_empty() => Ok(None),
-        None => Ok(Some(a.iter_raw().fold(0i64, i64::wrapping_add))),
-        Some(v) => {
-            let mut acc: Option<i64> = None;
-            for (i, x) in a.iter_raw().enumerate() {
-                if v.get(i) {
-                    acc = Some(acc.unwrap_or(0).wrapping_add(x));
-                }
-            }
-            Ok(acc)
-        }
-    }
-}
-
-/// Sums a `Float64` column, skipping nulls.
-pub fn sum_f64(col: &Array) -> Result<Option<f64>, ArrowError> {
-    let a = col.as_f64()?;
-    match a.validity() {
-        None if a.is_empty() => Ok(None),
-        None => Ok(Some(a.iter_raw().sum())),
-        Some(v) => {
-            let mut acc: Option<f64> = None;
-            for (i, x) in a.iter_raw().enumerate() {
-                if v.get(i) {
-                    acc = Some(acc.unwrap_or(0.0) + x);
-                }
-            }
-            Ok(acc)
-        }
-    }
-}
-
-/// Minimum of an `Int64` column, skipping nulls.
-pub fn min_i64(col: &Array) -> Result<Option<i64>, ArrowError> {
-    let a = col.as_i64()?;
-    match a.validity() {
-        None => Ok(a.iter_raw().min()),
-        Some(v) => Ok(a
-            .iter_raw()
-            .enumerate()
-            .filter(|(i, _)| v.get(*i))
-            .map(|(_, x)| x)
-            .min()),
-    }
-}
-
-/// Maximum of an `Int64` column, skipping nulls.
-pub fn max_i64(col: &Array) -> Result<Option<i64>, ArrowError> {
-    let a = col.as_i64()?;
-    match a.validity() {
-        None => Ok(a.iter_raw().max()),
-        Some(v) => Ok(a
-            .iter_raw()
-            .enumerate()
-            .filter(|(i, _)| v.get(*i))
-            .map(|(_, x)| x)
-            .max()),
-    }
-}
-
-/// Number of non-null values in any column.
-pub fn count(col: &Array) -> usize {
-    col.len() - col.null_count()
-}
-
 /// Comparison operators for scalar predicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
@@ -595,32 +525,6 @@ pub fn hash_rows(batch: &RecordBatch, cols: &[usize]) -> Vec<u64> {
     hashes
 }
 
-/// Splits a batch into `parts` partitions by hashing the given key
-/// columns; the same keys always land in the same partition.
-pub fn hash_partition(
-    batch: &RecordBatch,
-    key_cols: &[usize],
-    parts: usize,
-) -> Result<Vec<RecordBatch>, ArrowError> {
-    assert!(parts > 0, "hash_partition into zero parts");
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for (r, h) in hash_rows(batch, key_cols).into_iter().enumerate() {
-        buckets[(h % parts as u64) as usize].push(r);
-    }
-    buckets
-        .iter()
-        .map(|rows| take_indices(batch, rows))
-        .collect()
-}
-
-/// Builds a validity-style mask from an iterator of booleans.
-pub fn mask_from_bools(bools: &[bool]) -> Array {
-    Array::Bool(crate::array::BoolArray::from_parts(
-        Bitmap::from_bools(bools),
-        None,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,18 +608,6 @@ mod tests {
             take(&b, &Array::from_i64(vec![99])),
             Err(ArrowError::IndexOutOfBounds { .. })
         ));
-    }
-
-    #[test]
-    fn aggregates() {
-        let b = sample();
-        assert_eq!(sum_i64(b.column(0)).unwrap(), Some(10));
-        assert_eq!(min_i64(b.column(0)).unwrap(), Some(1));
-        assert_eq!(max_i64(b.column(0)).unwrap(), Some(4));
-        let s = sum_f64(b.column(1)).unwrap().unwrap();
-        assert!((s - 0.8).abs() < 1e-12);
-        assert_eq!(count(b.column(1)), 3);
-        assert_eq!(sum_i64(&Array::from_i64(vec![])).unwrap(), None);
     }
 
     #[test]
@@ -803,31 +695,6 @@ mod tests {
         assert_eq!(r.value_at(1), Value::Null);
         assert_eq!(r.value_at(2), Value::Bool(false));
         assert_eq!(r.value_at(3), Value::Null);
-    }
-
-    #[test]
-    fn hash_partition_is_stable_and_complete() {
-        let n = 100i64;
-        let schema = Schema::new(vec![Field::new("k", DataType::Int64, false)]);
-        let b = RecordBatch::try_new(
-            schema,
-            vec![Array::from_i64((0..n).map(|i| i % 10).collect())],
-        )
-        .unwrap();
-        let parts = hash_partition(&b, &[0], 4).unwrap();
-        let total: usize = parts.iter().map(RecordBatch::num_rows).sum();
-        assert_eq!(total, n as usize);
-        // Same key never appears in two partitions.
-        for key in 0..10i64 {
-            let holders = parts
-                .iter()
-                .filter(|p| (0..p.num_rows()).any(|r| p.column(0).value_at(r) == Value::I64(key)))
-                .count();
-            assert_eq!(holders, 1, "key {key} appears in {holders} partitions");
-        }
-        // Deterministic across invocations.
-        let parts2 = hash_partition(&b, &[0], 4).unwrap();
-        assert_eq!(parts, parts2);
     }
 
     #[test]
@@ -1111,82 +978,6 @@ impl SortKeys {
     }
 }
 
-/// Elementwise addition of two numeric columns (null if either side is).
-pub fn add(a: &Array, b: &Array) -> Result<Array, ArrowError> {
-    binary_numeric(a, b, |x, y| x + y)
-}
-
-/// Elementwise multiplication of two numeric columns.
-pub fn multiply(a: &Array, b: &Array) -> Result<Array, ArrowError> {
-    binary_numeric(a, b, |x, y| x * y)
-}
-
-/// Reads one numeric column as `(raw f64 values, validity)`; the raw
-/// vector holds the null placeholder at invalid slots.
-fn numeric_raw(a: &Array) -> Result<(Vec<f64>, Option<&Bitmap>), ArrowError> {
-    match a {
-        Array::Int64(a) => Ok((a.iter_raw().map(|x| x as f64).collect(), a.validity())),
-        Array::Float64(a) => Ok((a.iter_raw().collect(), a.validity())),
-        other => Err(ArrowError::ShapeMismatch(format!(
-            "non-numeric column {} in arithmetic",
-            other.data_type()
-        ))),
-    }
-}
-
-fn binary_numeric(a: &Array, b: &Array, f: impl Fn(f64, f64) -> f64) -> Result<Array, ArrowError> {
-    let n = a.len();
-    if n != b.len() {
-        return Err(ArrowError::ShapeMismatch(format!(
-            "binary op over {} vs {} rows",
-            a.len(),
-            b.len()
-        )));
-    }
-    let (xa, va) = numeric_raw(a)?;
-    let (xb, vb) = numeric_raw(b)?;
-    if va.is_none() && vb.is_none() {
-        let out: Vec<f64> = xa.iter().zip(&xb).map(|(x, y)| f(*x, *y)).collect();
-        return Ok(Array::from_f64(out));
-    }
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let ok = va.is_none_or(|v| v.get(i)) && vb.is_none_or(|v| v.get(i));
-        out.push(ok.then(|| f(xa[i], xb[i])));
-    }
-    Ok(Array::from_opt_f64(out))
-}
-
-/// Minimum of a `Float64` column, skipping nulls.
-pub fn min_f64(col: &Array) -> Result<Option<f64>, ArrowError> {
-    fold_f64(col, f64::min)
-}
-
-/// Maximum of a `Float64` column, skipping nulls.
-pub fn max_f64(col: &Array) -> Result<Option<f64>, ArrowError> {
-    fold_f64(col, f64::max)
-}
-
-fn fold_f64(col: &Array, f: impl Fn(f64, f64) -> f64) -> Result<Option<f64>, ArrowError> {
-    let a = col.as_f64()?;
-    let mut acc: Option<f64> = None;
-    match a.validity() {
-        None => {
-            for v in a.iter_raw() {
-                acc = Some(acc.map_or(v, |x| f(x, v)));
-            }
-        }
-        Some(valid) => {
-            for (i, v) in a.iter_raw().enumerate() {
-                if valid.get(i) {
-                    acc = Some(acc.map_or(v, |x| f(x, v)));
-                }
-            }
-        }
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod kernel_extension_tests {
     use super::*;
@@ -1249,39 +1040,6 @@ mod kernel_extension_tests {
         let sorted = take(&b, &idx).unwrap();
         assert_eq!(sorted.column(0).value_at(0), Value::I64(1));
         assert_eq!(sorted.column(0).value_at(2), Value::I64(9));
-    }
-
-    #[test]
-    fn arithmetic_kernels() {
-        let a = Array::from_f64(vec![1.0, 2.0, 3.0]);
-        let b = Array::from_opt_f64(vec![Some(10.0), None, Some(30.0)]);
-        let sum = add(&a, &b).unwrap();
-        assert_eq!(sum.value_at(0), Value::F64(11.0));
-        assert_eq!(sum.value_at(1), Value::Null);
-        let prod = multiply(&a, &b).unwrap();
-        assert_eq!(prod.value_at(2), Value::F64(90.0));
-        // Mixed int/float coerces.
-        let ints = Array::from_i64(vec![1, 2, 3]);
-        let mixed = add(&a, &ints).unwrap();
-        assert_eq!(mixed.value_at(2), Value::F64(6.0));
-    }
-
-    #[test]
-    fn arithmetic_shape_and_type_errors() {
-        let a = Array::from_f64(vec![1.0]);
-        let b = Array::from_f64(vec![1.0, 2.0]);
-        assert!(add(&a, &b).is_err());
-        let s = Array::from_utf8(&["x"]);
-        assert!(add(&a, &s).is_err());
-    }
-
-    #[test]
-    fn float_min_max() {
-        let col = Array::from_opt_f64(vec![Some(2.5), None, Some(-1.0)]);
-        assert_eq!(min_f64(&col).unwrap(), Some(-1.0));
-        assert_eq!(max_f64(&col).unwrap(), Some(2.5));
-        let empty = Array::from_f64(vec![]);
-        assert_eq!(min_f64(&empty).unwrap(), None);
     }
 
     #[test]
@@ -1471,7 +1229,7 @@ mod kernel_extension_tests {
         // `all_set` values bitmap whose padding bits are set.
         for n in [0usize, 1, 63, 64, 65, 127, 130, 517] {
             let bools: Vec<bool> = (0..n).map(|i| (i * 11 + 3) % 7 < 3).collect();
-            let plain = mask_from_bools(&bools);
+            let plain = Array::from_bool(&bools);
             let want: Vec<usize> = (0..n).filter(|&i| bools[i]).collect();
             assert_eq!(mask_to_indices(&plain).unwrap(), want, "plain n={n}");
 

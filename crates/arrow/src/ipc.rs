@@ -260,6 +260,19 @@ pub fn decode(data: Bytes) -> Result<RecordBatch, ArrowError> {
     RecordBatch::try_new(schema, columns)
 }
 
+/// Decodes a stored or shipped payload: an [`encode`] frame, either plain
+/// or wrapped in a [`compression`](crate::compression) block (told apart
+/// by magic). A plain frame keeps the zero-copy path — column buffers
+/// alias `payload`. Hostile input of either kind yields an error, never a
+/// panic.
+pub fn decode_payload(payload: Bytes) -> Result<RecordBatch, ArrowError> {
+    if crate::compression::is_compressed(&payload) {
+        decode(Bytes::from(crate::compression::decompress(&payload)?))
+    } else {
+        decode(payload)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -121,6 +121,18 @@ impl ExecOp {
         }
     }
 
+    /// True if the kernel starts with a join. Its keyed inputs must then
+    /// co-locate mixed `Int64`/`Float64` keys, so the shuffle into it
+    /// (and the adaptive pilot's key histogram) hashes integers through
+    /// their `f64` bit pattern exactly like the join probe does.
+    pub fn starts_with_join(&self) -> bool {
+        match self {
+            ExecOp::Join { .. } => true,
+            ExecOp::Fused(ops) => ops.first().is_some_and(ExecOp::starts_with_join),
+            _ => false,
+        }
+    }
+
     /// Flattens into a sequential op list (`Fused` bodies inline).
     pub fn flatten(self) -> Vec<ExecOp> {
         match self {
@@ -162,6 +174,20 @@ mod tests {
         assert!(!grouped.requires_single_shard());
         assert!(ExecOp::Fused(vec![grouped.clone(), global.clone()]).requires_single_shard());
         assert!(!ExecOp::Scan { table: "t".into() }.requires_single_shard());
+    }
+
+    #[test]
+    fn join_start_is_seen_through_fusion() {
+        let join = ExecOp::Join {
+            left_key: "k".into(),
+            right_key: "k".into(),
+            right_rows: 10,
+        };
+        let filt = ExecOp::Filter { conjuncts: vec![] };
+        assert!(join.starts_with_join());
+        assert!(ExecOp::Fused(vec![join.clone(), filt.clone()]).starts_with_join());
+        assert!(!filt.starts_with_join());
+        assert!(!ExecOp::Fused(vec![filt, join]).starts_with_join());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Per-operator query profiles.
 //!
 //! Every physical vertex carries a stable `op_id` (the post-optimization
-//! logical vertex id, shared by all shards of one operator). Executors —
-//! the local engine and the distributed shard runners — record one
-//! [`ShardStats`] per operator per shard; those group into [`OpProfile`]s
+//! logical vertex id, shared by all shards of one operator). The shard
+//! interpreter (`skadi_frontends::shard::execute_shard`) fills one
+//! [`ShardStats`] per operator per shard — it owns the data plane's only
+//! stopwatch — and both engines hand those records to
+//! [`QueryProfile::from_graph`], which groups them into [`OpProfile`]s
 //! and finally a [`QueryProfile`] attached to the query result.
 //!
 //! Determinism contract: everything except `wall_nanos` is a pure
@@ -17,7 +19,14 @@ use std::fmt::Write as _;
 
 use crate::physical::PhysicalGraph;
 
-/// Measurements from one shard of one operator.
+/// Default skew threshold: an operator is flagged when its largest
+/// shard's rows (or, in timed rendering, wall time) exceed this multiple
+/// of the median shard's. Single-shard operators never trip it.
+pub const DEFAULT_SKEW_MULTIPLE: f64 = 2.0;
+
+/// Measurements from one shard of one operator: the one record the shard
+/// interpreter fills. Zero-valued counters mean "not applicable" (a
+/// filter has no hash table); the JSON artifact omits them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardStats {
     /// Shard index in `[0, shards)`.
@@ -45,6 +54,12 @@ pub struct ShardStats {
     /// Hash-table capacity-growth events. The kernels preallocate from
     /// exact row counts, so any non-zero value flags a sizing bug.
     pub rehashes: u64,
+    /// Joins that built their hash table on the nominal probe side
+    /// because adaptive execution observed the build input to be the
+    /// larger one. Zero unless adaptive execution is on. Not part of
+    /// [`QueryProfile::to_json`] or [`QueryProfile::render`]: the
+    /// artifact is the same whichever side a join built on.
+    pub build_swaps: u64,
 }
 
 /// Min / median / max over a set of per-shard values. The median of an

@@ -27,7 +27,7 @@ use skadi_arrow::datatype::DataType;
 use skadi_arrow::schema::{Field, Schema};
 use skadi_flowgraph::lower::{lower_graph, LowerConfig};
 use skadi_flowgraph::optimize::optimize_graph;
-use skadi_flowgraph::profile::QueryProfile;
+use skadi_flowgraph::profile::{QueryProfile, ShardStats, DEFAULT_SKEW_MULTIPLE};
 use skadi_ir::BackendPolicy;
 
 use skadi_flowgraph::{ExecAgg, ExecCompare, ExecLiteral};
@@ -40,10 +40,6 @@ use skadi_ir::types::ScalarType;
 
 pub mod parallel;
 pub mod pool;
-
-/// Skew threshold of local query profiles (single-shard operators never
-/// trip it; the field keeps the rendering uniform with distributed runs).
-const LOCAL_SKEW_MULTIPLE: f64 = 2.0;
 
 /// An in-memory database: named tables of record batches.
 #[derive(Debug, Clone, Default)]
@@ -124,7 +120,7 @@ impl MemDb {
             .iter()
             .filter_map(|v| Some((v.id.0, run.vertices.get(&v.logical)?.clone())))
             .collect();
-        let profile = QueryProfile::from_graph(&phys, sql, 1, LOCAL_SKEW_MULTIPLE, &shards);
+        let profile = QueryProfile::from_graph(&phys, sql, 1, DEFAULT_SKEW_MULTIPLE, &shards);
         Ok((run.output, profile))
     }
 
@@ -184,36 +180,6 @@ fn cmp_op(op: &str) -> Result<CmpOp, SqlError> {
         ">=" => CmpOp::Ge,
         other => return Err(SqlError::Plan(format!("unsupported operator {other:?}"))),
     })
-}
-
-/// Hash-table measurements from one join or group-by kernel invocation.
-/// Zero-valued fields mean "not applicable" (e.g. a filter has no hash
-/// table); the profile JSON omits them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelStats {
-    /// Hash-table capacity in slots (join build table or group table).
-    pub hash_slots: u64,
-    /// Probe steps that visited an occupied slot without matching: chain
-    /// walks for the join's bucket chains, linear-probe steps for the
-    /// group table. A well-sized table keeps this near zero.
-    pub hash_collisions: u64,
-    /// Distinct groups produced (group-by only).
-    pub groups: u64,
-    /// Hash-table growth events: how many times a join or group table had
-    /// to double capacity and reinsert. The kernels size tables from exact
-    /// row-count hints, so this stays 0 on every planned path; a non-zero
-    /// value flags a sizing bug.
-    pub rehashes: u64,
-}
-
-impl KernelStats {
-    /// Accumulates another kernel's counters into this one.
-    pub fn merge(&mut self, other: &KernelStats) {
-        self.hash_slots += other.hash_slots;
-        self.hash_collisions += other.hash_collisions;
-        self.groups += other.groups;
-        self.rehashes += other.rehashes;
-    }
 }
 
 /// Applies a conjunction of comparisons as ONE filter: the conjuncts
@@ -297,9 +263,8 @@ pub fn hash_join(
     left_key: &str,
     right_key: &str,
 ) -> Result<RecordBatch, SqlError> {
-    let mut stats = KernelStats::default();
     let (left_rows, right_rows) =
-        parallel::join_rows(left, right, left_key, right_key, &mut stats)?;
+        parallel::join_rows(left, right, left_key, right_key, &mut ShardStats::default())?;
     assemble_join(left, right, right_key, left_rows, right_rows)
 }
 
@@ -402,7 +367,7 @@ fn resolve_agg(agg: &ExecAgg, input: &RecordBatch) -> Result<AggKind, SqlError> 
 /// its SELECT-list aggregates (see [`parallel::aggregate`]).
 pub fn aggregate(q: &Query, input: &RecordBatch) -> Result<RecordBatch, SqlError> {
     let aggs = crate::sql::planner::exec_aggs(q);
-    Ok(parallel::aggregate(&q.group_by, &aggs, input, &mut KernelStats::default())?.batch)
+    Ok(parallel::aggregate(&q.group_by, &aggs, input, &mut ShardStats::default())?.batch)
 }
 
 /// An aggregation's output, with per-output-row detail for shard

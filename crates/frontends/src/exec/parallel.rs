@@ -36,12 +36,12 @@ use skadi_arrow::compute::{self, SortOrder};
 use skadi_arrow::datatype::DataType;
 use skadi_arrow::error::ArrowError;
 use skadi_arrow::schema::{Field, Schema};
+use skadi_flowgraph::profile::ShardStats;
 use skadi_flowgraph::{ExecAgg, ExecCompare};
 
 use super::pool::{self, morsels};
 use super::{
-    fold_hash, group_key_eq, join_key_eq, resolve_agg, wrap, AggKind, Aggregated, KernelStats,
-    EMPTY_SLOT,
+    fold_hash, group_key_eq, join_key_eq, resolve_agg, wrap, AggKind, Aggregated, EMPTY_SLOT,
 };
 use crate::sql::SqlError;
 
@@ -259,7 +259,7 @@ pub(crate) fn join_rows(
     right: &RecordBatch,
     left_key: &str,
     right_key: &str,
-    stats: &mut KernelStats,
+    stats: &mut ShardStats,
 ) -> Result<(Vec<usize>, Vec<usize>), SqlError> {
     let lcol = left
         .column(left.schema().index_of(left_key).map_err(wrap)?)
@@ -374,7 +374,7 @@ pub(crate) fn aggregate(
     group_by: &[String],
     aggs: &[ExecAgg],
     input: &RecordBatch,
-    stats: &mut KernelStats,
+    stats: &mut ShardStats,
 ) -> Result<Aggregated, SqlError> {
     let group_cols: Vec<usize> = group_by
         .iter()
@@ -757,7 +757,7 @@ mod tests {
             let mut baseline = None;
             for threads in [1, 2, 4] {
                 pool::set_global_threads(threads);
-                let mut stats = KernelStats::default();
+                let mut stats = ShardStats::default();
                 let got = join_rows(&left, &right, "k", "k", &mut stats).unwrap();
                 assert_eq!(got, expected, "n={n} threads={threads}");
                 assert_eq!(stats.rehashes, 0);
@@ -782,7 +782,7 @@ mod tests {
                 .to_vec(),
         );
         let probe = int_batch("k", (0..40).map(|i| (i != 7).then_some(i)).collect());
-        let mut stats = KernelStats::default();
+        let mut stats = ShardStats::default();
         let (l, r) = join_rows(&probe, &build, "k", "k", &mut stats).unwrap();
         assert_eq!(l, vec![1, 2, 2, 3, 5, 8, 13, 21]);
         assert_eq!(r, vec![0, 1, 4, 3, 5, 6, 7, 8]);
@@ -820,7 +820,7 @@ mod tests {
 
         for threads in [1, 4] {
             pool::set_global_threads(threads);
-            let mut stats = KernelStats::default();
+            let mut stats = ShardStats::default();
             let out = aggregate(&["k".to_string()], &aggs, &input, &mut stats)
                 .unwrap()
                 .batch;

@@ -47,7 +47,7 @@
 //! by their `f64` bit pattern.
 
 use std::collections::{BTreeMap, HashMap};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use skadi_arrow::array::{Array, DictUtf8Array};
 use skadi_arrow::batch::RecordBatch;
@@ -90,62 +90,14 @@ pub fn check_reserved_columns(tables: &BTreeMap<String, RecordBatch>) -> Result<
     Ok(())
 }
 
-/// Per-shard kernel measurements from one [`execute_shard`] call:
-/// hash-table counters from join/group-by kernels plus filter-step row
-/// counts (for selectivity). Chains with several filter steps accumulate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardExecStats {
-    /// Join / group-by hash-table counters.
-    pub kernel: exec::KernelStats,
-    /// Rows entering filter steps.
-    pub filter_rows_in: u64,
-    /// Rows surviving filter steps.
-    pub filter_rows_out: u64,
-    /// Joins that built their hash table on the nominal probe side
-    /// because the adaptive executor observed the build input to be the
-    /// larger one. Zero unless adaptive execution is on.
-    pub build_swaps: u64,
-}
-
-impl ShardExecStats {
-    /// Fraction of rows surviving the shard's filter steps, if any ran
-    /// over a non-empty input.
-    pub fn selectivity(&self) -> Option<f64> {
-        (self.filter_rows_in > 0).then(|| self.filter_rows_out as f64 / self.filter_rows_in as f64)
-    }
-
-    /// The shard's profile entry: these kernel counters plus the
-    /// caller's row counts, output size and wall time.
-    pub fn shard_stats(
-        &self,
-        rows_in: usize,
-        rows_out: usize,
-        output_bytes: u64,
-        wall: Duration,
-    ) -> ShardStats {
-        ShardStats {
-            shard: 0,
-            rows_in: rows_in as u64,
-            rows_out: rows_out as u64,
-            output_bytes,
-            wall_nanos: wall.as_nanos() as u64,
-            selectivity: self.selectivity(),
-            hash_slots: self.kernel.hash_slots,
-            hash_collisions: self.kernel.hash_collisions,
-            groups: self.kernel.groups,
-            rehashes: self.kernel.rehashes,
-        }
-    }
-}
-
 /// What [`run_graph`] produced.
 #[derive(Debug, Clone)]
 pub struct GraphRun {
     /// The output of the last vertex in topological order: a SQL plan's
     /// sink, i.e. the query result.
     pub output: RecordBatch,
-    /// Every vertex's profile entry; `output_bytes` is the output's
-    /// in-memory size.
+    /// Every vertex's profile entry, as [`execute_shard`] measured it;
+    /// `output_bytes` is the output's in-memory size.
     pub vertices: BTreeMap<VertexId, ShardStats>,
 }
 
@@ -198,14 +150,10 @@ pub fn run_graph(
                 port0.push(b);
             }
         }
-        let rows_in = port0.iter().chain(&port1).map(RecordBatch::num_rows).sum();
-        let mut stats = ShardExecStats::default();
-        let started = Instant::now();
-        let out = execute_shard(exec, tables, 0, 1, &port0, &port1, false, &mut stats)?;
-        let wall = started.elapsed();
+        let (out, mut stats) = execute_shard(exec, tables, 0, 1, &port0, &port1, false)?;
         observe(v, &out);
-        let bytes = out.byte_size() as u64;
-        vertices.insert(v, stats.shard_stats(rows_in, out.num_rows(), bytes, wall));
+        stats.output_bytes = out.byte_size() as u64;
+        vertices.insert(v, stats);
         if pending.get(&v).is_some_and(|&n| n > 0) {
             outputs.insert(v, out.clone());
         }
@@ -220,16 +168,23 @@ pub fn run_graph(
 /// instead. A pure function of gathered row counts — never of timing.
 pub const SWAP_BUILD_MULTIPLE: usize = 2;
 
-/// Executes one shard's operator chain, accumulating kernel measurements
-/// into `stats`. `port0` holds the (probe-side) input batches in producer
-/// shard order, `port1` the build side of a join; scans ignore both and
-/// read `tables` directly.
+/// Executes one shard's operator chain and measures it. `port0` holds
+/// the (probe-side) input batches in producer shard order, `port1` the
+/// build side of a join; scans ignore both and read `tables` directly.
+///
+/// The returned [`ShardStats`] is the shard's whole profile record except
+/// `output_bytes`, which only the caller knows (in-memory size locally,
+/// encoded frame length in the data plane): rows in (`port0` + `port1`)
+/// and out, the chain's wall time (the data plane's only stopwatch),
+/// the join / group-by hash counters, adaptive build swaps, and the
+/// selectivity of the filter steps: the product of every step's
+/// out/in, i.e. for a chain of filters the rows leaving the last over
+/// the rows entering the first.
 ///
 /// With `adaptive` on, a join whose gathered build side (`port1`)
 /// exceeds [`SWAP_BUILD_MULTIPLE`]× the probe side builds its hash table
 /// on the smaller side and restores probe order afterwards, so the
 /// output stays byte-identical to the static plan (see [`join_shard`]).
-#[allow(clippy::too_many_arguments)]
 pub fn execute_shard(
     op: &ExecOp,
     tables: &BTreeMap<String, RecordBatch>,
@@ -238,8 +193,13 @@ pub fn execute_shard(
     port0: &[RecordBatch],
     port1: &[RecordBatch],
     adaptive: bool,
-    stats: &mut ShardExecStats,
-) -> Result<RecordBatch, SqlError> {
+) -> Result<(RecordBatch, ShardStats), SqlError> {
+    let mut stats = ShardStats {
+        shard,
+        rows_in: port0.iter().chain(port1).map(|b| b.num_rows() as u64).sum(),
+        ..ShardStats::default()
+    };
+    let started = Instant::now();
     let mut current: Option<RecordBatch> = None;
     for step in op.clone().flatten() {
         let out = match step {
@@ -258,7 +218,7 @@ pub fn execute_shard(
                     return Err(SqlError::Plan("join cannot be mid-chain".into()));
                 }
                 join_shard(
-                    port0, port1, &left_key, &right_key, right_rows, adaptive, stats,
+                    port0, port1, &left_key, &right_key, right_rows, adaptive, &mut stats,
                 )?
             }
             other => {
@@ -268,14 +228,16 @@ pub fn execute_shard(
                 };
                 match other {
                     ExecOp::Filter { conjuncts } => {
-                        stats.filter_rows_in += input.num_rows() as u64;
                         let out = exec::apply_conjuncts(&input, &conjuncts)?;
-                        stats.filter_rows_out += out.num_rows() as u64;
+                        if input.num_rows() > 0 {
+                            let step = out.num_rows() as f64 / input.num_rows() as f64;
+                            stats.selectivity = Some(stats.selectivity.unwrap_or(1.0) * step);
+                        }
                         out
                     }
                     ExecOp::Project { columns } => project_shard(&input, &columns)?,
                     ExecOp::Aggregate { group_by, aggs } => {
-                        aggregate_shard(&input, &group_by, &aggs, &mut stats.kernel)?
+                        aggregate_shard(&input, &group_by, &aggs, &mut stats)?
                     }
                     ExecOp::Sort { column, descending } => sort_by(&input, &column, descending)?,
                     ExecOp::Limit { n, order } => {
@@ -306,7 +268,10 @@ pub fn execute_shard(
         };
         current = Some(out);
     }
-    current.ok_or_else(|| SqlError::Plan("empty exec descriptor".into()))
+    stats.wall_nanos = started.elapsed().as_nanos() as u64;
+    let out = current.ok_or_else(|| SqlError::Plan("empty exec descriptor".into()))?;
+    stats.rows_out = out.num_rows() as u64;
+    Ok((out, stats))
 }
 
 /// Part `part` of `parts` hash partitions of `batch` on `key`: the rows
@@ -477,7 +442,7 @@ fn join_shard(
     right_key: &str,
     right_rows: u64,
     adaptive: bool,
-    stats: &mut ShardExecStats,
+    stats: &mut ShardStats,
 ) -> Result<RecordBatch, SqlError> {
     let left = gather(port0)?;
     let right = gather(port1)?;
@@ -488,22 +453,11 @@ fn join_shard(
     let swap = adaptive && right_vis.num_rows() > SWAP_BUILD_MULTIPLE * left_vis.num_rows();
     let (lrows, rrows) = if swap {
         stats.build_swaps += 1;
-        let (probe, build) = parallel::join_rows(
-            &right_vis,
-            &left_vis,
-            right_key,
-            left_key,
-            &mut stats.kernel,
-        )?;
+        let (probe, build) =
+            parallel::join_rows(&right_vis, &left_vis, right_key, left_key, stats)?;
         (build, probe)
     } else {
-        parallel::join_rows(
-            &left_vis,
-            &right_vis,
-            left_key,
-            right_key,
-            &mut stats.kernel,
-        )?
+        parallel::join_rows(&left_vis, &right_vis, left_key, right_key, stats)?
     };
     let stride = (right_rows as i64).max(1);
     let mut rid: Vec<i64> = lrows
@@ -536,9 +490,9 @@ fn aggregate_shard(
     input: &RecordBatch,
     group_by: &[String],
     aggs: &[ExecAgg],
-    kernel: &mut exec::KernelStats,
+    stats: &mut ShardStats,
 ) -> Result<RecordBatch, SqlError> {
-    let out = parallel::aggregate(group_by, aggs, input, kernel)?;
+    let out = parallel::aggregate(group_by, aggs, input, stats)?;
     // Row ids ascend down the input, so a group's first row holds its
     // smallest id. A global aggregate of nothing has none.
     let min_rid = if input.num_rows() == 0 {
@@ -561,7 +515,7 @@ fn aggregate_shard(
 mod tests {
     use super::*;
     use skadi_arrow::array::Value;
-    use skadi_flowgraph::Partitioner;
+    use skadi_flowgraph::{ExecCompare, ExecLiteral, Partitioner};
 
     fn table() -> RecordBatch {
         RecordBatch::try_new(
@@ -594,17 +548,9 @@ mod tests {
         let mut total = 0;
         let mut next_rid = 0i64;
         for s in 0..3 {
-            let out = execute_shard(
-                &op,
-                &tables,
-                s,
-                3,
-                &[],
-                &[],
-                false,
-                &mut ShardExecStats::default(),
-            )
-            .unwrap();
+            let out = execute_shard(&op, &tables, s, 3, &[], &[], false)
+                .unwrap()
+                .0;
             total += out.num_rows();
             let rid = out.column_by_name(RID).unwrap();
             for r in 0..out.num_rows() {
@@ -613,6 +559,47 @@ mod tests {
             }
         }
         assert_eq!(total, t.num_rows());
+    }
+
+    #[test]
+    fn fused_filter_chain_reports_one_shard_record() {
+        // filter -> filter -> project in one fused chain, fed two port-0
+        // parts: 8 rows in, v > 4.5 keeps 4, k >= 3 keeps 2.
+        let tables = BTreeMap::from([("t".to_string(), table())]);
+        let (scan, _) = execute_shard(
+            &ExecOp::Scan { table: "t".into() },
+            &tables,
+            0,
+            1,
+            &[],
+            &[],
+            false,
+        )
+        .unwrap();
+        let port0: Vec<RecordBatch> = (0..2).map(|p| split_even(&scan, p, 2).unwrap()).collect();
+        let filter = |column: &str, op: &str, value: ExecLiteral| ExecOp::Filter {
+            conjuncts: vec![ExecCompare {
+                column: column.into(),
+                op: op.into(),
+                value,
+            }],
+        };
+        let op = ExecOp::Fused(vec![
+            filter("v", ">", ExecLiteral::Float(4.5)),
+            filter("k", ">=", ExecLiteral::Int(3)),
+            ExecOp::Project {
+                columns: vec!["k".into()],
+            },
+        ]);
+        let (out, stats) = execute_shard(&op, &tables, 0, 1, &port0, &[], false).unwrap();
+        assert_eq!(out.column_by_name("k").unwrap().value_at(0), Value::I64(3));
+        assert_eq!(out.column_by_name("k").unwrap().value_at(1), Value::I64(4));
+        assert_eq!(stats.rows_in, 8);
+        assert_eq!(stats.rows_out, 2);
+        assert_eq!(stats.selectivity, Some(2.0 / 8.0));
+        assert_eq!(stats.build_swaps, 0);
+        assert_eq!((stats.hash_slots, stats.groups), (0, 0));
+        assert_eq!(stats.output_bytes, 0, "the caller sets the output size");
     }
 
     #[test]
@@ -642,28 +629,12 @@ mod tests {
         let t = table();
         let tables = BTreeMap::from([("t".to_string(), t.clone())]);
         let op = ExecOp::Scan { table: "t".into() };
-        let a = execute_shard(
-            &op,
-            &tables,
-            0,
-            2,
-            &[],
-            &[],
-            false,
-            &mut ShardExecStats::default(),
-        )
-        .unwrap();
-        let b = execute_shard(
-            &op,
-            &tables,
-            1,
-            2,
-            &[],
-            &[],
-            false,
-            &mut ShardExecStats::default(),
-        )
-        .unwrap();
+        let a = execute_shard(&op, &tables, 0, 2, &[], &[], false)
+            .unwrap()
+            .0;
+        let b = execute_shard(&op, &tables, 1, 2, &[], &[], false)
+            .unwrap()
+            .0;
         // Re-partition by key, then gather everything back: canonical
         // order equals the original scan order.
         let parts: Vec<RecordBatch> = [&a, &b]
@@ -707,9 +678,9 @@ mod tests {
             &[],
             &[],
             false,
-            &mut ShardExecStats::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let part = compute::take_indices(&scan, &[0, 2]).unwrap();
         let merged =
             canonicalize(&RecordBatch::concat(std::slice::from_ref(&part)).unwrap()).unwrap();
@@ -759,9 +730,9 @@ mod tests {
             &[],
             &[],
             false,
-            &mut ShardExecStats::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let rscan = execute_shard(
             &ExecOp::Scan { table: "r".into() },
             &tables,
@@ -770,9 +741,9 @@ mod tests {
             &[],
             &[],
             false,
-            &mut ShardExecStats::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let op = ExecOp::Join {
             left_key: "k".into(),
             right_key: "k".into(),
@@ -783,13 +754,10 @@ mod tests {
         for shard in 0..2u32 {
             let port0 = vec![partition_by_key(&lscan, "k", shard as usize, 2, true).unwrap()];
             let port1 = vec![partition_by_key(&rscan, "k", shard as usize, 2, true).unwrap()];
-            let mut st = ShardExecStats::default();
-            let fixed =
-                execute_shard(&op, &tables, shard, 2, &port0, &port1, false, &mut st).unwrap();
+            let (fixed, st) = execute_shard(&op, &tables, shard, 2, &port0, &port1, false).unwrap();
             assert_eq!(st.build_swaps, 0);
-            let mut ad = ShardExecStats::default();
-            let swapped =
-                execute_shard(&op, &tables, shard, 2, &port0, &port1, true, &mut ad).unwrap();
+            let (swapped, ad) =
+                execute_shard(&op, &tables, shard, 2, &port0, &port1, true).unwrap();
             assert_eq!(fixed, swapped);
             swaps += ad.build_swaps;
             matched += fixed.num_rows();

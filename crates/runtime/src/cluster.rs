@@ -461,15 +461,10 @@ impl Cluster {
                     )));
                 }
             }
-            // Stop pumping pure-timer events once the job is done.
-            if self.job_done() && !queue.is_empty() {
-                let only_timers = {
-                    // Drain remaining failure/autoscale ticks cheaply.
-                    true
-                };
-                if only_timers {
-                    break;
-                }
+            // Once the job is done, whatever is left in the queue is
+            // failure/autoscale timers: stop pumping them.
+            if self.job_done() {
+                break;
             }
         }
         // The queue drained (or only timers remained): every task must be

@@ -112,7 +112,7 @@ pub fn job_from_physical(name: &str, g: &PhysicalGraph, system: &str) -> Result<
 }
 
 /// What a run produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct JobStats {
     /// Wall-clock (virtual) job completion time.
     pub makespan: SimDuration,

@@ -68,17 +68,6 @@ impl AdaptivePlan {
     }
 }
 
-/// True if the consumer's kernel starts with a join — its shuffle then
-/// hashes mixed `Int64`/`Float64` keys through their `f64` bit pattern,
-/// and the pilot must histogram with the same coercion.
-fn starts_with_join(op: &ExecOp) -> bool {
-    match op {
-        ExecOp::Join { .. } => true,
-        ExecOp::Fused(ops) => ops.first().is_some_and(starts_with_join),
-        _ => false,
-    }
-}
-
 /// Runs the pilot pass and derives the re-plan list. For every keyed
 /// edge whose consumer would statically shard to
 /// `cfg.default_parallelism`, the producer's pilot output is partitioned
@@ -123,7 +112,7 @@ pub fn plan(
         let Some(batch) = outputs.get(&e.from) else {
             continue;
         };
-        let coerce = to.exec.as_ref().is_some_and(starts_with_join);
+        let coerce = to.exec.as_ref().is_some_and(ExecOp::starts_with_join);
         let Ok(col) = batch.column_by_name(key) else {
             continue;
         };

@@ -13,8 +13,9 @@
 //! data plane** instead of the local engine: the plan is sharded
 //! (`--parallelism N`, default 4), every task runs its operator kernel on
 //! real record batches, and the answer is collected from the sink task's
-//! stored payload — byte-identical to the local engine's. Measured
-//! per-shard wall-clock prints beside the simulated pricing:
+//! stored payload — byte-identical to the local engine's. Both engines
+//! print one measured line per operator from the run's query profile
+//! beside the simulated pricing:
 //!
 //! ```text
 //! cargo run -p skadi --bin skadi-cli -- --distributed --parallelism 8 "SELECT ..."
@@ -88,14 +89,80 @@
 //! ```text
 //! cargo run -p skadi --bin skadi-cli -- chaos --seed 17 [--ft lineage|repl|ec] [--permanent | --multi] [out.json]
 //! ```
+//!
+//! Every mode reads its flags through one parser: `--help` / `-h` prints
+//! the usage text, and an unknown flag or a bad or missing value prints
+//! an error and exits with status 2.
 
 use skadi::arrow::array::Array;
 use skadi::arrow::batch::RecordBatch;
 use skadi::arrow::datatype::DataType;
 use skadi::arrow::schema::{Field, Schema};
 use skadi::dcsim::rng::DetRng;
+use skadi::flowgraph::profile::QueryProfile;
 use skadi::frontends::exec::MemDb;
 use skadi::prelude::*;
+
+const USAGE: &str = "\
+usage:
+  skadi-cli [--distributed] [--parallelism N] [--threads N] [--placement POLICY]
+            [--adaptive] [SQL ...]
+  skadi-cli trace [out.json]
+  skadi-cli chaos [--seed N] [--ft lineage|repl|ec] [--permanent | --multi] [out.json]
+  skadi-cli metrics [--json | --check] [--parallelism N]
+  skadi-cli serve [--addr HOST:PORT] [--rows N] [--distributed] [--parallelism N] [--threads N]
+  skadi-cli client [--addr HOST:PORT] [SQL ...]
+
+POLICY is one of data-centric, load-only, round-robin, load-aware, work-stealing.
+Prefix a query with EXPLAIN ANALYZE to print its annotated plan tree.";
+
+/// Why a mode stopped early.
+enum CliError {
+    /// `--help` / `-h`: print the usage text, exit 0.
+    Help,
+    /// An unknown flag or a bad or missing value: exit 2.
+    Usage(String),
+    /// The run itself failed (a file or socket error): exit 1.
+    Failed(String),
+}
+
+/// The command line, read flag by flag. Every mode parses through it, so
+/// `--help` works everywhere and a bad value is an error, never a panic.
+struct Args(std::vec::IntoIter<String>);
+
+impl Args {
+    /// The next argument; `--help` / `-h` stop the mode.
+    fn next(&mut self) -> Result<Option<String>, CliError> {
+        match self.0.next() {
+            Some(a) if a == "--help" || a == "-h" => Err(CliError::Help),
+            other => Ok(other),
+        }
+    }
+
+    /// The value following `flag`, parsed.
+    fn value<T>(&mut self, flag: &str) -> Result<T, CliError>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        let raw = self
+            .0
+            .next()
+            .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
+        raw.parse()
+            .map_err(|e| CliError::Usage(format!("{flag} {raw:?}: {e}")))
+    }
+}
+
+/// A positional argument, or an error if it looks like a flag no mode
+/// knows.
+fn positional(a: String) -> Result<String, CliError> {
+    if a.starts_with('-') {
+        Err(CliError::Usage(format!("unknown flag {a:?}")))
+    } else {
+        Ok(a)
+    }
+}
 
 /// Generates the demo `events`/`users` tables (seeded, so every run sees
 /// identical data).
@@ -147,48 +214,46 @@ fn demo_db(rows: usize) -> MemDb {
         .register("users", users_batch)
 }
 
+/// One line per operator from a run's profile: shard count, wall time
+/// summed over shards, rows out and output bytes. Both engines print it.
+fn print_measured(profile: &QueryProfile) {
+    let ops: Vec<String> = profile
+        .ops
+        .iter()
+        .map(|op| {
+            let wall: u64 = op.shards.iter().map(|s| s.wall_nanos).sum();
+            format!(
+                "{} x{} {:.0}us ({} rows, {} B)",
+                op.op,
+                op.shards.len(),
+                wall as f64 / 1e3,
+                op.total_rows_out(),
+                op.total_output_bytes(),
+            )
+        })
+        .collect();
+    println!("-- measured: {} --", ops.join(", "));
+}
+
 fn run_query(db: &MemDb, session: &Session, sql: &str) {
     println!("sql> {sql}");
-    if skadi::frontends::sql::strip_explain_analyze(sql).is_some() {
-        // EXPLAIN ANALYZE: execute for real, then print the annotated
-        // plan tree instead of the flat timing line.
-        match db.query_profiled(sql) {
-            Ok((result, profile)) => {
-                println!("-- answer ({} rows) --", result.num_rows());
-                print!("{result}");
-                print!("{}", profile.render(true));
-                println!();
-            }
-            Err(e) => println!("!! {e}\n"),
-        }
-        return;
-    }
-    match db.query_profiled(sql) {
-        Ok((result, profile)) => {
-            println!("-- answer ({} rows) --", result.num_rows());
-            print!("{result}");
-            // Per-operator wall-clock, from the local run's profile.
-            // Operator names are the plan's FlowGraph vertices, so this
-            // column reads side by side with the simulated pricing below.
-            let ops: Vec<String> = profile
-                .ops
-                .iter()
-                .map(|op| {
-                    format!(
-                        "{} {:.0}us ({} rows)",
-                        op.op,
-                        op.wall_stats().2 as f64 / 1e3,
-                        op.total_rows_out(),
-                    )
-                })
-                .collect();
-            println!("-- measured locally: {} --", ops.join(", "));
-        }
+    let (result, profile) = match db.query_profiled(sql) {
+        Ok(run) => run,
         Err(e) => {
-            println!("!! {e}");
+            println!("!! {e}\n");
             return;
         }
+    };
+    println!("-- answer ({} rows) --", result.num_rows());
+    print!("{result}");
+    if skadi::frontends::sql::strip_explain_analyze(sql).is_some() {
+        // EXPLAIN ANALYZE: the annotated plan tree replaces the flat
+        // measured line and the simulated pricing.
+        print!("{}", profile.render(true));
+        println!();
+        return;
     }
+    print_measured(&profile);
     match session.sql(sql) {
         Ok(report) => {
             println!(
@@ -207,7 +272,7 @@ fn run_query(db: &MemDb, session: &Session, sql: &str) {
 }
 
 /// One query through the distributed data plane: real shard execution
-/// inside the simulated cluster, measured shard timings beside the
+/// inside the simulated cluster, the measured profile beside the
 /// simulated pricing.
 fn run_query_distributed(db: &MemDb, session: &Session, sql: &str) {
     println!("sql> {sql}");
@@ -220,48 +285,17 @@ fn run_query_distributed(db: &MemDb, session: &Session, sql: &str) {
     };
     println!("-- answer ({} rows, distributed) --", run.batch.num_rows());
     print!("{}", run.batch);
-    if skadi::frontends::sql::strip_explain_analyze(sql).is_some() {
-        // EXPLAIN ANALYZE: the annotated plan tree with per-shard
-        // min/median/max and skew flags replaces the flat timing line.
-        if let Some(profile) = &run.report.profile {
+    let explain = skadi::frontends::sql::strip_explain_analyze(sql).is_some();
+    if let Some(profile) = &run.report.profile {
+        if explain {
+            // EXPLAIN ANALYZE: the annotated plan tree with per-shard
+            // min/median/max and skew flags.
             print!("{}", profile.render(true));
-        }
-        println!(
-            "-- at cluster scale: {} tasks, makespan {}, {} retries, {} B measured output --\n",
-            run.report.physical_vertices,
-            run.report.stats.makespan,
-            run.report.stats.retries,
-            run.report.stats.measured_output_bytes.values().sum::<u64>(),
-        );
-        return;
-    }
-    // Collapse per-shard timings into one line per operator.
-    let mut by_op: Vec<(String, u32, f64, usize, u64)> = Vec::new();
-    for t in &run.data_plane.timings {
-        match by_op.iter_mut().find(|(op, ..)| *op == t.op) {
-            Some((_, shards, wall, rows, bytes)) => {
-                *shards = (*shards).max(t.shards);
-                *wall += t.wall.as_secs_f64() * 1e6;
-                *rows += t.rows_out;
-                *bytes += t.output_bytes;
-            }
-            None => by_op.push((
-                t.op.clone(),
-                t.shards,
-                t.wall.as_secs_f64() * 1e6,
-                t.rows_out,
-                t.output_bytes,
-            )),
+        } else {
+            print_measured(profile);
         }
     }
-    let ops: Vec<String> = by_op
-        .iter()
-        .map(|(op, shards, wall, rows, bytes)| {
-            format!("{op} x{shards} {wall:.0}us ({rows} rows, {bytes} B)")
-        })
-        .collect();
-    println!("-- measured shards: {} --", ops.join(", "));
-    if !run.replans.is_empty() || run.data_plane.build_swaps() > 0 {
+    if !explain && (!run.replans.is_empty() || run.data_plane.build_swaps() > 0) {
         let plans: Vec<String> = run
             .replans
             .iter()
@@ -288,26 +322,35 @@ fn run_query_distributed(db: &MemDb, session: &Session, sql: &str) {
     );
 }
 
+/// Writes an artifact, turning an I/O error into a clean failure.
+fn write_file(path: &str, contents: &str) -> Result<(), CliError> {
+    std::fs::write(path, contents).map_err(|e| CliError::Failed(format!("write {path}: {e}")))
+}
+
 /// `skadi-cli trace [output.json]`: run the quickstart pipeline with
 /// tracing on, export Chrome trace_event JSON, print the critical path.
-fn run_trace(out_path: &str) {
+fn run_trace(mut args: Args) -> Result<(), CliError> {
+    let mut out_path = "skadi-trace.json".to_string();
+    while let Some(a) = args.next()? {
+        out_path = positional(a)?;
+    }
     let session = Session::builder()
         .topology(presets::small_disagg_cluster())
         .catalog(Catalog::demo())
         .runtime(RuntimeConfig::skadi_gen2().with_tracing(true))
         .build();
     let report = skadi::pipeline::fig1_pipeline(&session, 1)
-        .expect("quickstart pipeline builds")
-        .run()
-        .expect("quickstart pipeline runs");
+        .and_then(|p| p.run())
+        .map_err(|e| CliError::Failed(format!("quickstart pipeline: {e}")))?;
 
     let json = report.chrome_trace();
     let spans = report.stats.trace.len();
-    std::fs::write(out_path, &json).expect("write trace file");
+    write_file(&out_path, &json)?;
     println!("{report}\n");
     println!("{}", report.critical_path_summary(5));
     println!("\nwrote {spans} spans ({} bytes) to {out_path}", json.len());
     println!("open it at https://ui.perfetto.dev (or chrome://tracing)");
+    Ok(())
 }
 
 /// `skadi-cli chaos --seed N [--ft MODE] [--permanent | --multi]
@@ -315,7 +358,7 @@ fn run_trace(out_path: &str) {
 /// checks on. `--permanent` replays the unrecoverable-loss generator
 /// (clean `TaskAbandoned`/`Stalled` counts as a pass); `--multi` replays
 /// the staggered multi-job workload under the survivable generator.
-fn run_chaos_replay(args: &[String]) {
+fn run_chaos_replay(mut args: Args) -> Result<(), CliError> {
     use skadi::runtime::chaos::{
         chaos_job, chaos_jobs, chaos_plan, chaos_plan_permanent, chaos_topology,
         run_chaos_multi_with, run_chaos_permanent_with, run_chaos_with,
@@ -328,34 +371,31 @@ fn run_chaos_replay(args: &[String]) {
     let mut permanent = false;
     let mut multi = false;
     let mut out = "skadi-chaos.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next()? {
         match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed takes a number");
-            }
+            "--seed" => seed = args.value("--seed")?,
             "--ft" => {
-                ft = match it.next().map(String::as_str) {
-                    Some("lineage") => FtMode::Lineage,
-                    Some("repl") | Some("replication") => FtMode::Replication(2),
-                    Some("ec") | Some("rs") => {
-                        FtMode::ErasureCoding(skadi::store::ec::EcConfig::RS_4_2)
+                ft = match args.value::<String>("--ft")?.as_str() {
+                    "lineage" => FtMode::Lineage,
+                    "repl" | "replication" => FtMode::Replication(2),
+                    "ec" | "rs" => FtMode::ErasureCoding(skadi::store::ec::EcConfig::RS_4_2),
+                    other => {
+                        return Err(CliError::Usage(format!(
+                            "--ft takes lineage|repl|ec, got {other:?}"
+                        )))
                     }
-                    other => panic!("--ft takes lineage|repl|ec, got {other:?}"),
                 };
             }
             "--permanent" => permanent = true,
             "--multi" => multi = true,
-            path => out = path.to_string(),
+            _ => out = positional(a)?,
         }
     }
-    assert!(
-        !(permanent && multi),
-        "--permanent and --multi are separate suites"
-    );
+    if permanent && multi {
+        return Err(CliError::Usage(
+            "--permanent and --multi are separate suites".into(),
+        ));
+    }
 
     let topo = chaos_topology();
     let plan = if permanent {
@@ -435,7 +475,7 @@ fn run_chaos_replay(args: &[String]) {
                 }
             }
             let json = stats.trace.to_chrome_json();
-            std::fs::write(&out, &json).expect("write trace file");
+            write_file(&out, &json)?;
             println!(
                 "wrote {} spans ({} bytes) to {out}",
                 stats.trace.len(),
@@ -456,6 +496,7 @@ fn run_chaos_replay(args: &[String]) {
             std::process::exit(1);
         }
     }
+    Ok(())
 }
 
 /// `skadi-cli metrics [--json | --check] [--parallelism N]`: run the
@@ -463,24 +504,18 @@ fn run_chaos_replay(args: &[String]) {
 /// runtime metrics in Prometheus text exposition format. `--json` dumps
 /// the per-query profile artifacts instead; `--check` self-validates the
 /// exposition's line grammar (CI gate) and exits non-zero on violations.
-fn run_metrics(args: &[String]) {
+fn run_metrics(mut args: Args) -> Result<(), CliError> {
     use skadi::dcsim::trace::{validate_prometheus, Metrics};
 
     let mut json = false;
     let mut check = false;
     let mut parallelism = 4u32;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next()? {
         match a.as_str() {
             "--json" => json = true,
             "--check" => check = true,
-            "--parallelism" => {
-                parallelism = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--parallelism takes a number");
-            }
-            other => panic!("metrics takes --json, --check, --parallelism N; got {other:?}"),
+            "--parallelism" => parallelism = args.value("--parallelism")?,
+            _ => return Err(CliError::Usage(format!("metrics: unknown argument {a:?}"))),
         }
     }
 
@@ -497,7 +532,7 @@ fn run_metrics(args: &[String]) {
     for q in demo_queries() {
         let run = session
             .sql_distributed(&db, &q)
-            .expect("demo query runs distributed");
+            .map_err(|e| CliError::Failed(format!("demo query {q:?}: {e}")))?;
         merged.merge(&run.report.stats.metrics);
         if let Some(p) = run.report.profile {
             profiles.push(p);
@@ -514,26 +549,28 @@ fn run_metrics(args: &[String]) {
             println!("{}{sep}", p.to_json().trim_end());
         }
         println!("]");
-        return;
+        return Ok(());
     }
     let text = merged.to_prometheus();
     if check {
-        match validate_prometheus(&text) {
-            Ok(n) => println!("prometheus exposition OK: {n} series"),
-            Err(e) => {
-                eprintln!("prometheus exposition INVALID: {e}");
-                std::process::exit(1);
+        return match validate_prometheus(&text) {
+            Ok(n) => {
+                println!("prometheus exposition OK: {n} series");
+                Ok(())
             }
-        }
-        return;
+            Err(e) => Err(CliError::Failed(format!(
+                "prometheus exposition INVALID: {e}"
+            ))),
+        };
     }
     print!("{text}");
+    Ok(())
 }
 
 /// `skadi-cli serve [--addr HOST:PORT] [--rows N] [--distributed]
 /// [--parallelism N] [--threads N]`: serve the demo dataset over the
 /// native wire protocol until killed.
-fn run_serve(args: &[String]) {
+fn run_serve(mut args: Args) -> Result<(), CliError> {
     use skadi::server::{Server, ServerConfig};
 
     let mut addr = "127.0.0.1:4711".to_string();
@@ -541,36 +578,14 @@ fn run_serve(args: &[String]) {
     let mut distributed = false;
     let mut parallelism = 4u32;
     let mut threads: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next()? {
         match a.as_str() {
-            "--addr" => addr = it.next().expect("--addr takes HOST:PORT").clone(),
-            "--rows" => {
-                rows = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--rows takes a number");
-            }
+            "--addr" => addr = args.value("--addr")?,
+            "--rows" => rows = args.value("--rows")?,
             "--distributed" => distributed = true,
-            "--parallelism" => {
-                parallelism = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--parallelism takes a number");
-            }
-            "--threads" => {
-                threads = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--threads takes a number"),
-                );
-            }
-            other => {
-                panic!(
-                    "serve takes --addr, --rows, --distributed, --parallelism, --threads; \
-                     got {other:?}"
-                )
-            }
+            "--parallelism" => parallelism = args.value("--parallelism")?,
+            "--threads" => threads = Some(args.value("--threads")?),
+            _ => return Err(CliError::Usage(format!("serve: unknown argument {a:?}"))),
         }
     }
 
@@ -587,35 +602,39 @@ fn run_serve(args: &[String]) {
         ..ServerConfig::default()
     };
     let server = Server::new(session, db, cfg);
-    let listener = std::net::TcpListener::bind(&addr).expect("bind listener");
+    let listener = std::net::TcpListener::bind(&addr)
+        .map_err(|e| CliError::Failed(format!("bind {addr}: {e}")))?;
     println!(
         "skadi serving {rows}-row demo dataset on {addr} ({} engine); ctrl-c to stop",
         if distributed { "distributed" } else { "local" }
     );
-    server.serve_tcp(listener).expect("accept loop");
+    server
+        .serve_tcp(listener)
+        .map_err(|e| CliError::Failed(format!("accept loop: {e}")))
 }
 
 /// `skadi-cli client [--addr HOST:PORT] ["SQL" ...]`: connect to a
 /// running `serve`, run the queries (default: the demo set), and print
 /// each reassembled result.
-fn run_client(args: &[String]) {
+fn run_client(mut args: Args) -> Result<(), CliError> {
     use skadi::wire::Client;
 
     let mut addr = "127.0.0.1:4711".to_string();
     let mut queries: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next()? {
         match a.as_str() {
-            "--addr" => addr = it.next().expect("--addr takes HOST:PORT").clone(),
-            q => queries.push(q.to_string()),
+            "--addr" => addr = args.value("--addr")?,
+            _ => queries.push(positional(a)?),
         }
     }
     if queries.is_empty() {
         queries = demo_queries();
     }
 
-    let stream = std::net::TcpStream::connect(&addr).expect("connect to server");
-    let mut client = Client::connect(stream, "skadi-cli").expect("handshake");
+    let stream = std::net::TcpStream::connect(&addr)
+        .map_err(|e| CliError::Failed(format!("connect to {addr}: {e}")))?;
+    let mut client = Client::connect(stream, "skadi-cli")
+        .map_err(|e| CliError::Failed(format!("handshake with {addr}: {e}")))?;
     println!("connected to {:?} at {addr}", client.server_name);
     for q in queries {
         println!("sql> {q}");
@@ -633,6 +652,7 @@ fn run_client(args: &[String]) {
             Err(e) => println!("!! {e}\n"),
         }
     }
+    Ok(())
 }
 
 /// The default demo query set (shared by the main loop and `metrics`).
@@ -644,64 +664,25 @@ fn demo_queries() -> Vec<String> {
     ]
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("metrics") {
-        run_metrics(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("chaos") {
-        run_chaos_replay(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        run_serve(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("client") {
-        run_client(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("trace") {
-        let out = args
-            .get(1)
-            .map(String::as_str)
-            .unwrap_or("skadi-trace.json");
-        run_trace(out);
-        return;
-    }
+/// The default mode: SQL against the demo dataset, locally or through
+/// the distributed data plane.
+fn run_sql(mut args: Args) -> Result<(), CliError> {
     let mut distributed = false;
     let mut adaptive = false;
     let mut placement: Option<PlacementPolicy> = None;
     let mut parallelism = 4u32;
     let mut threads: Option<usize> = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    let mut queries: Vec<String> = Vec::new();
+    while let Some(a) = args.next()? {
         match a.as_str() {
             "--distributed" => distributed = true,
             "--adaptive" => adaptive = true,
-            "--placement" => {
-                let name = it.next().expect("--placement takes a policy name");
-                placement = Some(name.parse().unwrap_or_else(|e| panic!("{e}")));
-            }
-            "--parallelism" => {
-                parallelism = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--parallelism takes a number");
-            }
-            "--threads" => {
-                threads = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--threads takes a number"),
-                );
-            }
-            _ => rest.push(a),
+            "--placement" => placement = Some(args.value("--placement")?),
+            "--parallelism" => parallelism = args.value("--parallelism")?,
+            "--threads" => threads = Some(args.value("--threads")?),
+            _ => queries.push(positional(a)?),
         }
     }
-    let args = rest;
 
     let db = demo_db(10_000);
     let mut runtime = RuntimeConfig::skadi_gen2();
@@ -719,11 +700,9 @@ fn main() {
     }
     let session = builder.build();
 
-    let queries: Vec<String> = if args.is_empty() {
-        demo_queries()
-    } else {
-        args
-    };
+    if queries.is_empty() {
+        queries = demo_queries();
+    }
 
     println!(
         "skadi-cli — demo dataset: 10,000 events / ~1,000 users (seeded){}\n",
@@ -738,6 +717,36 @@ fn main() {
             run_query_distributed(&db, &session, &q);
         } else {
             run_query(&db, &session, &q);
+        }
+    }
+    Ok(())
+}
+
+fn main() {
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    let mode = match argv.first().map(String::as_str) {
+        Some("trace" | "chaos" | "metrics" | "serve" | "client") => argv.remove(0),
+        _ => String::new(),
+    };
+    let args = Args(argv.into_iter());
+    let result = match mode.as_str() {
+        "trace" => run_trace(args),
+        "chaos" => run_chaos_replay(args),
+        "metrics" => run_metrics(args),
+        "serve" => run_serve(args),
+        "client" => run_client(args),
+        _ => run_sql(args),
+    };
+    match result {
+        Ok(()) => {}
+        Err(CliError::Help) => println!("{USAGE}"),
+        Err(CliError::Usage(msg)) => {
+            eprintln!("skadi-cli: {msg}\n\n{USAGE}");
+            std::process::exit(2);
+        }
+        Err(CliError::Failed(msg)) => {
+            eprintln!("skadi-cli: {msg}");
+            std::process::exit(1);
         }
     }
 }

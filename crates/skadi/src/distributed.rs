@@ -34,32 +34,23 @@ use skadi_flowgraph::physical::{PEdgeKind, PVertexId, PhysicalGraph};
 use skadi_flowgraph::profile::{QueryProfile, ShardStats};
 use skadi_flowgraph::ExecOp;
 use skadi_frontends::exec::pool;
-use skadi_frontends::shard::{self, ShardExecStats};
+use skadi_frontends::shard;
 use skadi_runtime::{TaskExecutor, TaskId};
 
-/// One shard's measured execution, recorded by [`GraphExecutor`].
+/// One shard's execution, recorded by [`GraphExecutor`].
 #[derive(Debug, Clone)]
 pub struct ShardTiming {
     /// The runtime task that ran this shard.
     pub task: TaskId,
     /// Stable operator id (shared by all shards of one operator).
     pub op_id: u32,
-    /// Operator name (the physical vertex's op).
-    pub op: String,
-    /// Shard index within the operator.
-    pub shard: u32,
-    /// Total shards of the operator.
-    pub shards: u32,
-    /// Rows entering the shard kernel (after partition extraction).
-    pub rows_in: usize,
-    /// Rows the shard produced.
-    pub rows_out: usize,
-    /// Encoded output size in bytes (what the cluster stores).
-    pub output_bytes: u64,
-    /// Real wall-clock time spent in the shard kernel.
+    /// Wall time of the shard's operator chain, exactly as
+    /// [`shard::execute_shard`] measured it (`stats.wall_nanos`).
     pub wall: Duration,
-    /// Kernel measurements: hash-table counters and filter row counts.
-    pub exec_stats: ShardExecStats,
+    /// The shard's profile record from [`shard::execute_shard`], with
+    /// `output_bytes` set to the stored (encoded, possibly compressed)
+    /// payload length.
+    pub stats: ShardStats,
 }
 
 /// Measurements shared out of the executor (the cluster owns the
@@ -84,11 +75,11 @@ impl DataPlaneStats {
     /// over every shard execution, re-executions included). Always zero
     /// when adaptive execution is off.
     pub fn build_swaps(&self) -> u64 {
-        self.timings.iter().map(|t| t.exec_stats.build_swaps).sum()
+        self.timings.iter().map(|t| t.stats.build_swaps).sum()
     }
 
     /// Assembles the per-operator [`QueryProfile`] from the recorded
-    /// shard timings and the physical graph's structure, through the
+    /// shard records and the physical graph's structure, through the
     /// same builder the local engine uses ([`QueryProfile::from_graph`]).
     /// When lineage recovery re-executed a task, the LAST recorded timing
     /// wins (it is the execution whose payload survived).
@@ -102,26 +93,9 @@ impl DataPlaneStats {
         let shards: BTreeMap<u32, ShardStats> = self
             .timings
             .iter()
-            .map(|t| {
-                let s = t
-                    .exec_stats
-                    .shard_stats(t.rows_in, t.rows_out, t.output_bytes, t.wall);
-                (t.task.0 as u32, s)
-            })
+            .map(|t| (t.task.0 as u32, t.stats.clone()))
             .collect();
         QueryProfile::from_graph(graph, query, parallelism, skew_multiple, &shards)
-    }
-}
-
-/// True if this vertex's kernel starts with a join — its keyed inputs
-/// must then co-locate mixed `Int64`/`Float64` keys, so shuffle
-/// partitioning hashes integers through their `f64` bit pattern exactly
-/// like the join probe does.
-fn is_join_consumer(op: &ExecOp) -> bool {
-    match op {
-        ExecOp::Join { .. } => true,
-        ExecOp::Fused(ops) => ops.first().is_some_and(is_join_consumer),
-        _ => false,
     }
 }
 
@@ -131,7 +105,7 @@ fn is_join_consumer(op: &ExecOp) -> bool {
 /// a pure function of `(descriptor, inputs)` — can run on the shared
 /// worker pool when the cluster hands over a same-instant batch via
 /// [`TaskExecutor::execute_ready`]. Stats stay single-threaded: input
-/// staging and timing commits happen on the calling thread, in task-ID
+/// staging and record commits happen on the calling thread, in task-ID
 /// order, so measurements are as deterministic as the serial path.
 pub struct GraphExecutor {
     graph: Arc<PhysicalGraph>,
@@ -198,16 +172,6 @@ struct PreparedShard {
     shards: u32,
     port0: Vec<RecordBatch>,
     port1: Vec<RecordBatch>,
-    rows_in: usize,
-}
-
-/// A finished shard run: encoded payload plus measurements, waiting to
-/// be committed into [`DataPlaneStats`] on the calling thread.
-struct ShardRun {
-    bytes: Vec<u8>,
-    rows_out: usize,
-    wall: Duration,
-    exec_stats: ShardExecStats,
 }
 
 impl GraphExecutor {
@@ -225,19 +189,11 @@ impl GraphExecutor {
             .as_ref()
             .ok_or_else(|| format!("vertex {} ({}) has no exec descriptor", v.id, v.op))?;
 
-        // Decode each producer's full stored payload once. Payloads may
-        // arrive block-compressed (detected by magic) or plain.
+        // Decode each producer's full stored payload once.
         let mut decoded: BTreeMap<u64, RecordBatch> = BTreeMap::new();
         for (p, buf) in inputs {
-            let frame = if compression::is_compressed(buf) {
-                Bytes::from(
-                    compression::decompress(buf)
-                        .map_err(|e| format!("decompress payload of {p}: {e}"))?,
-                )
-            } else {
-                Bytes::from(buf.to_vec())
-            };
-            let b = ipc::decode(frame).map_err(|e| format!("decode payload of {p}: {e}"))?;
+            let b = ipc::decode_payload(Bytes::from(buf.to_vec()))
+                .map_err(|e| format!("decode payload of {p}: {e}"))?;
             decoded.insert(p.0, b);
         }
 
@@ -247,7 +203,6 @@ impl GraphExecutor {
         edges.sort_by_key(|e| (e.port, self.graph.vertex(e.from).shard, e.from.0));
         let mut port0: Vec<RecordBatch> = Vec::new();
         let mut port1: Vec<RecordBatch> = Vec::new();
-        let mut rows_in = 0usize;
         for e in edges {
             let full = decoded
                 .get(&(e.from.0 as u64))
@@ -259,7 +214,7 @@ impl GraphExecutor {
                         key,
                         v.shard as usize,
                         v.shards as usize,
-                        is_join_consumer(op),
+                        op.starts_with_join(),
                     )
                     .map_err(|err| format!("shuffle into {}: {err}", v.id))?;
                     self.stats
@@ -276,7 +231,6 @@ impl GraphExecutor {
                 .borrow_mut()
                 .edge_rows
                 .insert((e.from.0 as u64, t.0), part.num_rows());
-            rows_in += part.num_rows();
             if e.port == 1 {
                 port1.push(part);
             } else {
@@ -293,61 +247,42 @@ impl GraphExecutor {
             shards: v.shards,
             port0,
             port1,
-            rows_in,
         })
     }
 
     /// Runs one staged shard: a pure function of the prepared inputs and
     /// the (shared, immutable) base tables — safe on any pool thread.
+    /// Returns the stored payload and the shard's profile record, whose
+    /// `output_bytes` is that payload's length.
     fn run_shard(
         tables: &BTreeMap<String, RecordBatch>,
         p: &PreparedShard,
         compress: bool,
         adaptive: bool,
-    ) -> Result<ShardRun, String> {
-        let mut exec_stats = ShardExecStats::default();
-        let started = std::time::Instant::now();
-        let out = shard::execute_shard(
-            &p.op,
-            tables,
-            p.shard,
-            p.shards,
-            &p.port0,
-            &p.port1,
-            adaptive,
-            &mut exec_stats,
+    ) -> Result<(Vec<u8>, ShardStats), String> {
+        let (out, mut stats) = shard::execute_shard(
+            &p.op, tables, p.shard, p.shards, &p.port0, &p.port1, adaptive,
         )
         .map_err(|e| format!("shard {}/{} of {}: {e}", p.shard, p.shards, p.op_name))?;
-        let wall = started.elapsed();
         let frame = ipc::encode(&out);
         let bytes = if compress {
             compression::maybe_compress(&frame)
         } else {
             frame.to_vec()
         };
-        Ok(ShardRun {
-            rows_out: out.num_rows(),
-            bytes,
-            wall,
-            exec_stats,
-        })
+        stats.output_bytes = bytes.len() as u64;
+        Ok((bytes, stats))
     }
 
-    /// Records a finished run's measurements and releases its payload.
-    fn commit(&mut self, p: &PreparedShard, run: ShardRun) -> Vec<u8> {
+    /// Records a finished run's profile record and releases its payload.
+    fn commit(&mut self, p: &PreparedShard, (bytes, stats): (Vec<u8>, ShardStats)) -> Vec<u8> {
         self.stats.borrow_mut().timings.push(ShardTiming {
             task: p.task,
             op_id: p.op_id,
-            op: p.op_name.clone(),
-            shard: p.shard,
-            shards: p.shards,
-            rows_in: p.rows_in,
-            rows_out: run.rows_out,
-            output_bytes: run.bytes.len() as u64,
-            wall: run.wall,
-            exec_stats: run.exec_stats,
+            wall: Duration::from_nanos(stats.wall_nanos),
+            stats,
         });
-        run.bytes
+        bytes
     }
 }
 
@@ -390,27 +325,5 @@ impl TaskExecutor for GraphExecutor {
                 (Ok(_), None) => unreachable!("prepared shard must produce a run"),
             })
             .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn join_consumer_detection_sees_through_fusion() {
-        let join = ExecOp::Join {
-            left_key: "k".into(),
-            right_key: "k".into(),
-            right_rows: 10,
-        };
-        let filt = ExecOp::Filter { conjuncts: vec![] };
-        assert!(is_join_consumer(&join));
-        assert!(is_join_consumer(&ExecOp::Fused(vec![
-            join.clone(),
-            filt.clone()
-        ])));
-        assert!(!is_join_consumer(&filt));
-        assert!(!is_join_consumer(&ExecOp::Fused(vec![filt, join])));
     }
 }

@@ -201,7 +201,7 @@ impl<'a> PipelineBuilder<'a> {
             physical_vertices: pv,
             physical_edges: pe,
             backends: counts,
-            stats: empty_stats(),
+            stats: Default::default(),
             profile: None,
         };
         Ok((job, report))
@@ -219,26 +219,6 @@ impl<'a> PipelineBuilder<'a> {
         let mut cluster = Cluster::new(&session.topology, session.runtime.clone());
         report.stats = cluster.run_with_failures(&job, failures)?;
         Ok(report)
-    }
-}
-
-fn empty_stats() -> skadi_runtime::JobStats {
-    skadi_runtime::JobStats {
-        makespan: skadi_dcsim::time::SimDuration::ZERO,
-        finished: 0,
-        retries: 0,
-        abandoned: 0,
-        net: Default::default(),
-        durable_trips: 0,
-        stall_total: skadi_dcsim::time::SimDuration::ZERO,
-        compute_total: skadi_dcsim::time::SimDuration::ZERO,
-        cost_units: 0.0,
-        utilization: 0.0,
-        spills: 0,
-        spill_bytes: 0,
-        metrics: Default::default(),
-        trace: Default::default(),
-        measured_output_bytes: Default::default(),
     }
 }
 

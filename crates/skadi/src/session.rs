@@ -17,6 +17,7 @@ use skadi_dcsim::topology::Topology;
 use skadi_flowgraph::logical::FlowGraph;
 use skadi_flowgraph::lower::{lower_graph, LowerConfig};
 use skadi_flowgraph::optimize::optimize_graph;
+use skadi_flowgraph::profile::DEFAULT_SKEW_MULTIPLE;
 use skadi_frontends::catalog::Catalog;
 use skadi_frontends::graph::VertexProgram;
 use skadi_frontends::mapreduce::MapReduceJob;
@@ -101,7 +102,6 @@ pub struct SessionBuilder {
     parallelism: u32,
     policy: BackendPolicy,
     optimize: bool,
-    skew_multiple: f64,
     shuffle_compression: bool,
     threads: Option<usize>,
     adaptive: bool,
@@ -141,14 +141,6 @@ impl SessionBuilder {
     /// Disables the graph optimizer (the E10 ablation).
     pub fn without_optimizer(mut self) -> Self {
         self.optimize = false;
-        self
-    }
-
-    /// Sets the skew threshold for query profiles: an operator is flagged
-    /// when its max shard's rows (or wall time, in timed rendering)
-    /// exceed this multiple of the median shard's. Defaults to 2.0.
-    pub fn skew_multiple(mut self, m: f64) -> Self {
-        self.skew_multiple = m.max(1.0);
         self
     }
 
@@ -200,7 +192,6 @@ impl SessionBuilder {
             parallelism: self.parallelism,
             policy: self.policy,
             optimize: self.optimize,
-            skew_multiple: self.skew_multiple,
             shuffle_compression: self.shuffle_compression,
             adaptive: self.adaptive,
         }
@@ -215,7 +206,6 @@ pub struct Session {
     pub(crate) parallelism: u32,
     pub(crate) policy: BackendPolicy,
     pub(crate) optimize: bool,
-    pub(crate) skew_multiple: f64,
     pub(crate) shuffle_compression: bool,
     pub(crate) adaptive: bool,
 }
@@ -230,7 +220,6 @@ impl Session {
             parallelism: 4,
             policy: BackendPolicy::cost_based(),
             optimize: true,
-            skew_multiple: 2.0,
             shuffle_compression: true,
             threads: None,
             adaptive: false,
@@ -331,18 +320,11 @@ impl Session {
                 "data plane: sink stored no payload".into(),
             ))
         })?;
-        let frame = if skadi_arrow::compression::is_compressed(payload) {
-            skadi_arrow::compression::decompress(payload).map_err(|e| {
-                SkadiError::Sql(sql::SqlError::Plan(format!("decompress result: {e}")))
-            })?
-        } else {
-            payload.to_vec()
-        };
-        let batch = skadi_arrow::ipc::decode(bytes::Bytes::from(frame))
+        let batch = skadi_arrow::ipc::decode_payload(bytes::Bytes::from(payload.to_vec()))
             .map_err(|e| SkadiError::Sql(sql::SqlError::Plan(format!("decode result: {e}"))))?;
         let data_plane = measurements.borrow().clone();
         let profile =
-            data_plane.query_profile(&phys, statement, self.parallelism, self.skew_multiple);
+            data_plane.query_profile(&phys, statement, self.parallelism, DEFAULT_SKEW_MULTIPLE);
         Ok(DistributedRun {
             batch,
             report: JobReport {

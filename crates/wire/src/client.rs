@@ -3,7 +3,7 @@
 use std::io::{Read, Write};
 
 use skadi_arrow::batch::RecordBatch;
-use skadi_arrow::{compression, ipc};
+use skadi_arrow::ipc;
 
 use crate::codec::{read_packet, write_packet, WireError, DEFAULT_MAX_FRAME};
 use crate::packet::{Packet, CAP_COMPRESSION, CAP_PROGRESS, PROTOCOL_VERSION};
@@ -114,17 +114,8 @@ impl<S: Read + Write> Client<S> {
                 Packet::Data { query_id, payload } => {
                     self.check_id(query_id, id)?;
                     payload_bytes += payload.len() as u64;
-                    // Compressed payloads announce themselves by magic;
-                    // plain frames keep the zero-copy decode path.
-                    let frame = if compression::is_compressed(&payload) {
-                        bytes::Bytes::from(
-                            compression::decompress(&payload)
-                                .map_err(|e| WireError::Arrow(e.to_string()))?,
-                        )
-                    } else {
-                        payload
-                    };
-                    let batch = ipc::decode(frame).map_err(|e| WireError::Arrow(e.to_string()))?;
+                    let batch = ipc::decode_payload(payload)
+                        .map_err(|e| WireError::Arrow(e.to_string()))?;
                     blocks.push(batch);
                 }
                 Packet::Progress { query_id, .. } => {

@@ -472,8 +472,11 @@ fn task_output_sizes_are_measured_not_estimated() {
     // Each recorded size is a real IPC frame length the executor stored,
     // and matches what the data plane measured for that task.
     for t in &run.data_plane.timings {
-        assert_eq!(measured.get(&t.task), Some(&t.output_bytes));
-        assert!(t.output_bytes >= 15, "even an empty frame has a header");
+        assert_eq!(measured.get(&t.task), Some(&t.stats.output_bytes));
+        assert!(
+            t.stats.output_bytes >= 15,
+            "even an empty frame has a header"
+        );
     }
 }
 

@@ -98,7 +98,7 @@ fn edge_rows_reconcile_with_operator_counts() {
                     .map(|(_, rows)| rows)
                     .sum();
                 assert_eq!(
-                    t.rows_in, delivered,
+                    t.stats.rows_in as usize, delivered,
                     "{q:?} x{parallelism}: task {task} rows_in vs delivered"
                 );
             }
@@ -112,12 +112,12 @@ fn edge_rows_reconcile_with_operator_counts() {
                 if out.is_empty() {
                     continue; // the sink
                 }
-                let partitioned = out.iter().sum::<usize>() == t.rows_out;
-                let replicated = out.iter().all(|&r| r == t.rows_out);
+                let partitioned = out.iter().sum::<usize>() == t.stats.rows_out as usize;
+                let replicated = out.iter().all(|&r| r == t.stats.rows_out as usize);
                 assert!(
                     partitioned || replicated,
                     "{q:?} x{parallelism}: task {producer} rows_out={} vs deliveries {out:?}",
-                    t.rows_out
+                    t.stats.rows_out
                 );
             }
         }
